@@ -480,6 +480,12 @@ def run_selftest() -> int:
     )
     checks.append(
         (
+            "midgap levels",
+            np.array_equal(spectrum.midgap_levels(m.offdiag)[0], ev[6:10]),
+        )
+    )
+    checks.append(
+        (
             "trace identity",
             abs(float(np.sum(ev**2)) - m.trace_h2()) < 1e-10 * m.trace_h2(),
         )
@@ -515,7 +521,9 @@ def run_experiment(cfg: RunConfig) -> Path:
     if not cfg.out:
         cfg = replace(cfg, out=f"{cfg.experiment}.{'csv' if cfg.format == 'csv' else 'json'}")
     start = time.perf_counter()
-    columns, rows = _RUNNERS[cfg.experiment](cfg)
+    # one process pool serves every pooled estimator call of the run
+    with ensemble.worker_pool(cfg.threads):
+        columns, rows = _RUNNERS[cfg.experiment](cfg)
     return _write_outputs(cfg, columns, rows, wall_time=time.perf_counter() - start)
 
 

@@ -4,7 +4,8 @@ Every realization draws from its own counter-based stream keyed by
 (master_seed, index), so realization k is bit-identical no matter how many
 workers evaluate the ensemble or in which order they run.  The map phase
 fans out over processes (the eigensolver kernels are CPU bound in Python
-loops), and the reduction always walks results in index order.
+loops), one realization or one fixed block of realizations per task, and
+the reduction always walks results in index order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,7 +21,13 @@ import numpy as np
 
 from .invariant import CriticalRealizationError, winding_closed_form
 from .model import BoundaryCondition, ChainParams, Realization, build_chain
-from .spectrum import eigenvalues_dense, eigenvalues_tridiagonal, midgap_pair
+from .spectrum import (
+    SpectralResult,
+    eigenvalues_dense,
+    eigenvalues_tridiagonal,
+    midgap_levels,
+    midgap_pair,
+)
 
 __all__ = [
     "FlatDistribution",
@@ -30,9 +38,12 @@ __all__ = [
     "estimate_eta_moments",
     "estimate_wavefunction_profile",
     "estimate_mean_gap",
+    "worker_pool",
 ]
 
 _MASK64 = (1 << 64) - 1
+# realizations per batched-kernel block
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,49 @@ def sample_realization(
     )
 
 
+class _RunPool:
+    """A process pool shared by the estimator calls of one run."""
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self.executor: ProcessPoolExecutor | None = None
+
+
+_run_pools: list[_RunPool] = []
+
+
+@contextmanager
+def worker_pool(threads: int):
+    """Let the pooled estimator calls made inside share one process pool.
+
+    The pool starts at the first call that needs it; on exit it is shut
+    down and its workers joined.  Estimators called outside, or with
+    another worker count, open a pool of their own per call.
+    """
+    slot = _RunPool(_resolve_threads(threads))
+    _run_pools.append(slot)
+    try:
+        yield
+    finally:
+        _run_pools.remove(slot)
+        if slot.executor is not None:
+            slot.executor.shutdown(wait=True)
+
+
+def _resolve_threads(threads: int) -> int:
+    return threads or os.cpu_count() or 1
+
+
+def _pool_map(worker, items, threads: int, chunksize: int) -> list:
+    slot = _run_pools[-1] if _run_pools else None
+    if slot is not None and slot.threads == threads:
+        if slot.executor is None:
+            slot.executor = ProcessPoolExecutor(max_workers=threads)
+        return list(slot.executor.map(worker, items, chunksize=chunksize))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, items, chunksize=chunksize))
+
+
 def _map_indices(worker, r: int, threads: int):
     """worker(index) for index 0..r-1, gathered in index order.
 
@@ -111,13 +165,27 @@ def _map_indices(worker, r: int, threads: int):
     requested; each index is computed identically either way, so the
     worker count never changes the numbers.
     """
-    if threads == 0:
-        threads = os.cpu_count() or 1
+    threads = _resolve_threads(threads)
     if threads <= 1 or r < 4:
         return [worker(i) for i in range(r)]
     chunksize = max(1, min(512, r // (threads * 4) or 1))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(r), chunksize=chunksize))
+    return _pool_map(worker, range(r), threads, chunksize)
+
+
+def _map_blocks(worker, r: int, threads: int):
+    """worker(indices) over consecutive blocks of 0..r-1, concatenated in index order.
+
+    Blocks hold _BLOCK indices (the last one the remainder) whatever the
+    worker count, and each block is farmed out whole, so a batched kernel
+    sees the same rows with any number of workers.
+    """
+    blocks = [range(s, min(s + _BLOCK, r)) for s in range(0, r, _BLOCK)]
+    threads = _resolve_threads(threads)
+    if threads <= 1 or len(blocks) < 2:
+        results = [worker(b) for b in blocks]
+    else:
+        results = _pool_map(worker, blocks, threads, 1)
+    return [x for block in results for x in block]
 
 
 def _check_params(params: ChainParams, dist: FlatDistribution):
@@ -145,9 +213,24 @@ def _eta_worker(params, dist, master_seed, i):
     return float(np.sum(np.log(np.abs(couplings / params.u)))), redraws
 
 
-def _profile_worker(params, dist, master_seed, i):
-    real = sample_realization(dist, params.n, master_seed, i)
-    return _wavefunction_profile(params, real)
+def _profile_block(params, dist, master_seed, indices):
+    """Per-dimer weight of the +/- pair of states closest to zero energy.
+
+    The block's chains share one call of the central-level kernel; each
+    realization's profile is normalized to total weight 2 (two states).
+    """
+    chains = [
+        build_chain(params, sample_realization(dist, params.n, master_seed, i))
+        for i in indices
+    ]
+    levels = midgap_levels(np.array([m.offdiag for m in chains]))
+    profiles = []
+    for m, central in zip(chains, levels):
+        v_minus, v_plus = midgap_pair(m, SpectralResult.from_eigenvalues(central))
+        per_site = v_minus**2 + v_plus**2
+        per_dimer = per_site[0::2] + per_site[1::2]
+        profiles.append(per_dimer * (2.0 / per_dimer.sum()))
+    return profiles
 
 
 def _gap_worker(params, dist, master_seed, i):
@@ -232,16 +315,6 @@ def estimate_eta_moments(
     )
 
 
-def _wavefunction_profile(params: ChainParams, real: Realization) -> np.ndarray:
-    """Per-dimer weight of the +/- pair of states closest to zero energy."""
-    m = build_chain(params, real)
-    spectral = eigenvalues_tridiagonal(m)
-    v_minus, v_plus = midgap_pair(m, spectral)
-    per_site = v_minus**2 + v_plus**2
-    per_dimer = per_site[0::2] + per_site[1::2]
-    return per_dimer * (2.0 / per_dimer.sum())
-
-
 def estimate_wavefunction_profile(
     params: ChainParams,
     dist: FlatDistribution,
@@ -260,8 +333,8 @@ def estimate_wavefunction_profile(
     if params.bc is not BoundaryCondition.OPEN:
         raise ValueError("wavefunction profile requires open boundaries")
     _check_params(params, dist)
-    worker = partial(_profile_worker, params, dist, master_seed)
-    profiles = np.array(_map_indices(worker, r, threads))
+    worker = partial(_profile_block, params, dist, master_seed)
+    profiles = np.array(_map_blocks(worker, r, threads))
     mean = profiles.mean(axis=0)
     stderr = (
         profiles.std(axis=0, ddof=1) / math.sqrt(r)

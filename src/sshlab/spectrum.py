@@ -1,7 +1,8 @@
 """Eigensolvers for the chain matrices.
 
 Self-contained kernels, no external linear-algebra backends: Sturm-sequence
-bisection and implicit-shift QL for symmetric tridiagonal eigenvalues,
+bisection and implicit-shift QL for symmetric tridiagonal eigenvalues, a
+batched bisection of only the four central levels of open chains,
 Householder reduction for dense symmetric matrices, and shifted inverse
 iteration for the pair of eigenvectors closest to zero energy.
 """
@@ -22,6 +23,7 @@ __all__ = [
     "eigenvalues_tridiagonal",
     "eigenvalues_dense",
     "eigenvector_near_zero",
+    "midgap_levels",
     "midgap_pair",
 ]
 
@@ -169,6 +171,115 @@ def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     else:
         raise ConvergenceError("bisection failed to localize the spectrum")
     return 0.5 * (lo + hi)
+
+
+def midgap_levels(offdiag: np.ndarray) -> np.ndarray:
+    """Eigenvalues N/2-2 .. N/2+1 of zero-diagonal open chains, one per row.
+
+    `offdiag` holds the N-1 couplings of each chain (N >= 4).  Each
+    value is bit-identical to the same entry of `eigvals_sturm` on that
+    chain: same Gershgorin brackets, midpoints, Sturm pivots and stop rule.
+    One Sturm pass evaluates every midpoint of a bisection subtree at once,
+    then the bisection path is walked level by level, so the sequential
+    passes over the sites drop by the subtree depth.  The depth keeps a pass
+    near 1000 shifts: deep (up to 6) for a few rows, shallow for many.  Rows
+    with an exactly zero squared coupling take `eigvals_sturm`'s clamped
+    route.
+    """
+    e = np.atleast_2d(np.asarray(offdiag, dtype=float))
+    rows, size = e.shape[0], e.shape[1] + 1
+    if size < 4:
+        raise ValueError("chains need at least 4 sites")
+    half = size // 2
+    out = np.empty((rows, 4))
+    e2 = e * e
+    clamped = e2.min(axis=1) == 0.0
+    for row in np.flatnonzero(clamped):
+        out[row] = eigvals_sturm(np.zeros(size), e[row])[half - 2 : half + 2]
+    live = np.flatnonzero(~clamped)
+    if not len(live):
+        return out
+    e, e2 = np.abs(e[live]), e2[live]
+    # eigvals_sturm's Gershgorin bound: max over sites of |e_{i-1}| + |e_i|
+    radius = np.concatenate((e[:, :1], e[:, :-1] + e[:, 1:], e[:, -1:]), axis=1)
+    bound = radius.max(axis=1, keepdims=True)
+    # eigvals_sturm stops on the widest of all N intervals; every interval
+    # is 2*bound/2**k after k steps up to rounding far below tol, so the
+    # four central ones reach tol at the same step (k = 48)
+    tol = 1e-14 * bound
+    targets = np.arange(half - 1, half + 3)
+    lo = np.repeat(-bound, 4, axis=1)
+    hi = np.repeat(bound, 4, axis=1)
+    act = np.arange(len(live))
+    depth = max(1, min(6, round(math.log2(256 / len(act) + 1))))
+    steps = 0
+    while len(act):
+        # levels still needed if every interval halves cleanly
+        need = np.log2(np.max((hi[act] - lo[act]) / tol[act]))
+        levels = int(min(depth, max(1, math.ceil(need))))
+        mids = _subtree_midpoints(lo[act], hi[act], levels)
+        counts = _sturm_count_zero_diag(e2[act], mids.reshape(len(act), -1))
+        counts = counts.reshape(mids.shape)
+        a_lo, a_hi = lo[act], hi[act]
+        node = np.zeros(a_lo.shape, dtype=np.intp)
+        done = np.zeros(len(act), dtype=bool)
+        for level in range(levels):
+            pos = (node + (1 << level) - 1)[..., None]
+            mid = np.take_along_axis(mids, pos, -1)[..., 0]
+            below = np.take_along_axis(counts, pos, -1)[..., 0] >= targets
+            a_hi = np.where(below & ~done[:, None], mid, a_hi)
+            a_lo = np.where(below | done[:, None], a_lo, mid)
+            node = 2 * node + ~below
+            steps += 1
+            done |= np.all(a_hi - a_lo <= tol[act], axis=1)
+            if steps == 128 or done.all():
+                break
+        lo[act], hi[act] = a_lo, a_hi
+        act = act[~done]
+        if steps == 128 and len(act):
+            raise ConvergenceError("bisection failed to localize the midgap levels")
+    out[live] = 0.5 * (lo + hi)
+    return out
+
+
+def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
+    """Bisection midpoints of every node of a subtree, in level order.
+
+    Node j of level l splits into nodes 2j (lower half) and 2j+1 of level
+    l+1; each midpoint is 0.5*(lo+hi) of its own interval, as bisection
+    computes it.
+    """
+    lo, hi = lo[..., None], hi[..., None]
+    out = []
+    for _ in range(levels):
+        mid = 0.5 * (lo + hi)
+        out.append(mid)
+        lo = np.stack((lo, mid), axis=-1).reshape(*mid.shape[:-1], -1)
+        hi = np.stack((mid, hi), axis=-1).reshape(*mid.shape[:-1], -1)
+    return np.concatenate(out, axis=-1)
+
+
+def _sturm_count_zero_diag(e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """`sturm_count` with d = 0 for row-wise chains e2 (R, N-1) at shifts xs (R, S).
+
+    The pivot update (0 - x) - e2/q equals sturm_count's (0 - e2/q) - x
+    bit for bit, signed zeros included.  Pivots are kept for 32 sites and
+    their signs counted in one call.
+    """
+    negx = 0.0 - xs
+    q = negx
+    count = (q < 0.0).astype(np.int64)
+    e2 = e2.T[:, :, None]
+    buf = np.empty((min(32, len(e2)),) + xs.shape)
+    with np.errstate(divide="ignore"):
+        for start in range(0, len(e2), len(buf)):
+            block = buf[: min(len(buf), len(e2) - start)]
+            for j, c in enumerate(e2[start : start + len(block)]):
+                np.divide(c, q, out=block[j])
+                np.subtract(negx, block[j], out=block[j])
+                q = block[j]
+            count += np.count_nonzero(block < 0.0, axis=0)
+    return count
 
 
 def eigvals_ql(d: np.ndarray, e: np.ndarray, max_sweeps: int = 50) -> np.ndarray:
@@ -358,12 +469,6 @@ def eigenvalues_dense(m: ChainMatrix | np.ndarray, method: str = "bisect") -> Sp
     return SpectralResult.from_eigenvalues(evals)
 
 
-def _solve_spectrum(m: ChainMatrix) -> SpectralResult:
-    if m.is_tridiagonal:
-        return eigenvalues_tridiagonal(m)
-    return eigenvalues_dense(m)
-
-
 def _rayleigh_ritz_pair(m: ChainMatrix, v1, v2):
     """Split a 2-dim near-eigenspace into Ritz pairs of the symmetric matrix."""
     b1 = v1 / math.sqrt(float(np.dot(v1, v1)))
@@ -405,9 +510,16 @@ def midgap_pair(
     Inverse iteration with shifts at +/-E_min followed by a 2x2
     Rayleigh-Ritz split, which stays stable when the pair is numerically
     degenerate (deep topological chains).  Returns (v_minus, v_plus).
+    Without `spectral`, open chains bisect only their four central levels,
+    which carry the gap and the isolation check.
     """
     if spectral is None:
-        spectral = _solve_spectrum(m)
+        if not m.is_tridiagonal:
+            spectral = eigenvalues_dense(m)
+        elif m.size >= 4:
+            spectral = SpectralResult.from_eigenvalues(midgap_levels(m.offdiag)[0])
+        else:
+            spectral = eigenvalues_tridiagonal(m)
     evals = spectral.eigenvalues
     n = m.size
     norm = max(m.norm_bound(), _EPS)

@@ -100,6 +100,18 @@ class TestRunners:
         two = data_section(run_experiment(replace(cfg, threads=2)))
         assert one == two
 
+    def test_edge_modes_threads_do_not_change_bytes(self, tmp_path):
+        from dataclasses import replace
+
+        from sshlab.ensemble import _BLOCK
+
+        cfg = tiny("edge-modes", tmp_path, n=10, realizations=3 * _BLOCK + 2)
+        runs = [
+            run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"em{t}.csv")))
+            for t in (1, 2, 0)
+        ]
+        assert runs[0].read_bytes() == runs[1].read_bytes() == runs[2].read_bytes()
+
     def test_embedded_config_reproduces_data(self, tmp_path):
         from dataclasses import replace
 

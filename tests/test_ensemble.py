@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sshlab.analytic import fluctuation_width, z1_quadrature, z2_quadrature
+from sshlab import ensemble
 from sshlab.ensemble import (
     EnsembleEstimate,
     FlatDistribution,
@@ -14,8 +15,14 @@ from sshlab.ensemble import (
     realization_rng,
     sample_realization,
 )
-from sshlab.model import BoundaryCondition, ChainParams, Realization, coherence_length
-from sshlab.spectrum import eigenvalues_dense
+from sshlab.model import (
+    BoundaryCondition,
+    ChainParams,
+    Realization,
+    build_chain,
+    coherence_length,
+)
+from sshlab.spectrum import eigenvalues_dense, eigenvalues_tridiagonal, midgap_pair
 
 
 class TestSampler:
@@ -152,6 +159,56 @@ class TestWavefunctionProfile:
         b = estimate_wavefunction_profile(params, dist, 8, 13, threads=2)
         np.testing.assert_array_equal(np.asarray(a.value), np.asarray(b.value))
         np.testing.assert_array_equal(np.asarray(a.stderr), np.asarray(b.stderr))
+
+    def test_blocks_bytes_independent_of_threads(self):
+        # three full blocks plus a remainder
+        r = 3 * ensemble._BLOCK + 5
+        params = ChainParams(n=12, u=1.0, w=0.95)
+        dist = FlatDistribution(gamma=0.9, u=1.0)
+        ests = [estimate_wavefunction_profile(params, dist, r, 31, threads=t) for t in (1, 2, 0)]
+        for est in ests[1:]:
+            assert np.asarray(est.value).tobytes() == np.asarray(ests[0].value).tobytes()
+            assert np.asarray(est.stderr).tobytes() == np.asarray(ests[0].stderr).tobytes()
+
+    def test_matches_full_spectrum_profile_per_chain(self):
+        r = ensemble._BLOCK + 3
+        params = ChainParams(n=15, u=1.0, w=0.95)
+        dist = FlatDistribution(gamma=1.2, u=1.0)
+        profiles = []
+        for i in range(r):
+            m = build_chain(params, sample_realization(dist, params.n, 8, i))
+            v_minus, v_plus = midgap_pair(m, eigenvalues_tridiagonal(m))
+            per_site = v_minus**2 + v_plus**2
+            per_dimer = per_site[0::2] + per_site[1::2]
+            profiles.append(per_dimer * (2.0 / per_dimer.sum()))
+        est = estimate_wavefunction_profile(params, dist, r, 8, threads=1)
+        np.testing.assert_array_equal(np.asarray(est.value), np.array(profiles).mean(axis=0))
+
+
+class TestWorkerPool:
+    def test_estimators_share_one_pool(self):
+        params = ChainParams(n=10, u=1.0, w=0.9)
+        dist = FlatDistribution(gamma=0.4, u=1.0)
+        alone = estimate_mean_nu(params, dist, 40, 5, threads=2).value
+        with ensemble.worker_pool(2):
+            shared = estimate_mean_nu(params, dist, 40, 5, threads=2).value
+            executor = ensemble._run_pools[-1].executor
+            assert executor is not None
+            estimate_mean_gap(params, dist, 8, 5, threads=2)
+            assert ensemble._run_pools[-1].executor is executor
+            # another worker count opens its own pool and leaves this one alone
+            assert estimate_mean_nu(params, dist, 40, 5, threads=1).value == alone
+        assert shared == alone
+        assert not ensemble._run_pools
+        assert executor._processes is None or not any(
+            p.is_alive() for p in executor._processes.values()
+        )
+
+    def test_pool_starts_only_when_needed(self):
+        params = ChainParams(n=10, u=1.0, w=0.9)
+        with ensemble.worker_pool(2):
+            estimate_mean_nu(params, FlatDistribution(0.4, 1.0), 3, 5, threads=2)
+            assert ensemble._run_pools[-1].executor is None
 
 
 class TestMeanGap:

@@ -20,9 +20,16 @@ from sshlab.spectrum import (
     eigvals_ql,
     eigvals_sturm,
     householder_tridiagonalize,
+    midgap_levels,
     midgap_pair,
     sturm_count,
 )
+
+
+def central_entries(e):
+    """Entries N/2-2 .. N/2+1 of the full bisected spectrum of one open chain."""
+    half = (len(e) + 1) // 2
+    return eigvals_sturm(np.zeros(len(e) + 1), e)[half - 2 : half + 2]
 
 
 def random_chain(rng, n=None, bc=BoundaryCondition.OPEN, w=None):
@@ -78,6 +85,89 @@ class TestTridiagonal:
         assert sturm_count(d, e2, np.array([ev[-1] + 1.0]))[0] == 9
         mid = 0.5 * (ev[3] + ev[4])
         assert sturm_count(d, e2, np.array([mid]))[0] == 4
+
+
+class TestMidgapLevels:
+    def test_bit_identical_to_full_bisection(self):
+        rng = np.random.default_rng(21)
+        for size in (4, 5, 9, 24, 61, 200):
+            e = rng.uniform(-2.0, 2.0, (7, size - 1))
+            e[:, 1::2] = rng.uniform(0.3, 1.7)  # dimerized inter-cell bonds
+            got = midgap_levels(e)
+            for row, levels in zip(e, got):
+                np.testing.assert_array_equal(levels, central_entries(row))
+
+    def test_any_subtree_depth_walks_the_same_path(self):
+        # the subtree depth shrinks from 6 to 1 as the stack grows
+        rng = np.random.default_rng(22)
+        _, m = random_chain(rng, n=30)
+        expected = central_entries(m.offdiag)
+        for rows in (1, 20, 40, 100, 400):
+            got = midgap_levels(np.tile(m.offdiag, (rows, 1)))
+            np.testing.assert_array_equal(got, np.tile(expected, (rows, 1)))
+
+    def test_two_dimers_give_the_whole_spectrum(self):
+        m = build_chain(ChainParams(n=2, u=1.0, w=0.6), Realization(couplings=[0.9, 1.3]))
+        got = midgap_levels(m.offdiag)[0]
+        np.testing.assert_array_equal(got, eigenvalues_tridiagonal(m).eigenvalues)
+
+    def test_zero_coupling_takes_clamped_route(self):
+        rng = np.random.default_rng(23)
+        e = rng.uniform(0.3, 1.7, (3, 19))
+        e[1, 8] = 0.0  # row 1 splits into two decoupled chains
+        e[2, 0] = 1e-170  # squares to zero
+        got = midgap_levels(e)
+        for row, levels in zip(e, got):
+            np.testing.assert_array_equal(levels, central_entries(row))
+        assert got[1, 1] == pytest.approx(-got[1, 2], abs=1e-13)
+
+    def test_deep_topological_chain_underflowing_gap(self):
+        # w/u = 2 over 2000 dimers: E_min ~ 2**-2000 underflows to zero
+        n = 2000
+        m = build_chain(ChainParams(n=n, u=1.0, w=2.0), Realization(couplings=np.full(n, 1.0)))
+        got = midgap_levels(m.offdiag)[0]
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, central_entries(m.offdiag))
+        tol = 1e-14 * m.norm_bound()
+        assert abs(got[1]) <= tol and abs(got[2]) <= tol
+        assert got[3] == pytest.approx(1.0, abs=1e-5)  # band edge |w - u|
+
+    def test_near_degenerate_midgap_pair(self):
+        # a trivial middle stretch adds two domain-wall modes to the two edge
+        # modes: two near-zero pairs, 7e-7 and 6e-4 from zero
+        couplings = np.full(40, 0.5)
+        couplings[15:25] = 2.0
+        m = build_chain(ChainParams(n=40, u=0.5, w=1.0), Realization(couplings=couplings))
+        got = midgap_levels(m.offdiag)[0]
+        np.testing.assert_array_equal(got, central_entries(m.offdiag))
+        assert abs(got[3]) < 1e-3
+        full = np.abs(eigenvalues_tridiagonal(m).eigenvalues)
+        mine = SpectralResult.from_eigenvalues(got)
+        assert mine.gap == 2.0 * full.min()
+        # the three smallest |E| that midgap_pair's isolation check reads
+        np.testing.assert_array_equal(np.sort(np.abs(got))[:3], np.sort(full)[:3])
+
+    def test_matches_scipy_within_bisection_tolerance(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(24)
+        e = rng.uniform(-1.5, 3.5, (20, 199))
+        e[:, 1::2] = 0.95
+        for row, levels in zip(e, midgap_levels(e)):
+            ref = scipy_linalg.eigvalsh_tridiagonal(np.zeros(200), row)[98:102]
+            bound = float(np.max(np.abs(row[:-1]) + np.abs(row[1:])))
+            np.testing.assert_allclose(levels, ref, rtol=0.0, atol=1e-12 * bound)
+
+    def test_midgap_pair_without_spectrum_matches_full_one(self):
+        rng = np.random.default_rng(25)
+        _, m = random_chain(rng, n=25)
+        a = midgap_pair(m)
+        b = midgap_pair(m, eigenvalues_tridiagonal(m))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+    def test_rejects_chains_below_four_sites(self):
+        with pytest.raises(ValueError):
+            midgap_levels(np.array([[1.0, 0.5]]))
 
 
 class TestDense:
