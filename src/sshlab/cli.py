@@ -315,21 +315,12 @@ def run_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
                 if cfg.bc == "periodic"
                 else model.BoundaryCondition.OPEN,
             )
-            m = model.build_chain(params, real)
-            spectral = (
-                spectrum.eigenvalues_tridiagonal(m)
-                if m.is_tridiagonal
-                else spectrum.eigenvalues_dense(m)
-            )
+            gap = spectrum.chain_gap(model.build_chain(params, real))
             try:
                 nu = invariant.winding_closed_form(real, params)
             except invariant.CriticalRealizationError:
                 nu = math.nan  # grid point sits exactly on the boundary
-            log_gap = (
-                math.log(spectral.gap / (2.0 * abs(cfg.u)))
-                if spectral.gap > 0.0
-                else -math.inf
-            )
+            log_gap = math.log(gap / (2.0 * abs(cfg.u))) if gap > 0.0 else -math.inf
             rows.append([gamma, w, log_gap, nu, w0, w0_weak])
     return ["gamma", "w", "log_gap_ratio", "nu", "w0_analytic", "w0_weak"], rows
 
@@ -482,6 +473,16 @@ def run_selftest() -> int:
         (
             "midgap levels",
             np.array_equal(spectrum.midgap_levels(m.offdiag)[0], ev[6:10]),
+        )
+    )
+    ring = model.build_chain(
+        model.ChainParams(n=8, u=1.0, w=0.8, bc=model.BoundaryCondition.PERIODIC), real
+    )
+    dense = spectrum.eigenvalues_dense(ring).eigenvalues
+    checks.append(
+        (
+            "ring gap",
+            abs(spectrum.chain_gap(ring) - 2.0 * float(np.min(np.abs(dense)))) < 1e-12,
         )
     )
     checks.append(

@@ -21,13 +21,7 @@ import numpy as np
 
 from .invariant import CriticalRealizationError, winding_closed_form
 from .model import BoundaryCondition, ChainParams, Realization, build_chain
-from .spectrum import (
-    SpectralResult,
-    eigenvalues_dense,
-    eigenvalues_tridiagonal,
-    midgap_levels,
-    midgap_pair,
-)
+from .spectrum import SpectralResult, chain_gap, midgap_levels, midgap_pair
 
 __all__ = [
     "FlatDistribution",
@@ -44,6 +38,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # realizations per batched-kernel block
 _BLOCK = 16
+# closed-form index ensembles smaller than this run in-process: dispatching to
+# the pool costs more than it saves below a crossover measured near 128-256
+# realizations (n = 100, 2 cores, a pool already running)
+_POOL_MIN_INDEX = 256
 
 
 @dataclass(frozen=True)
@@ -235,12 +233,7 @@ def _profile_block(params, dist, master_seed, indices):
 
 def _gap_worker(params, dist, master_seed, i):
     real = sample_realization(dist, params.n, master_seed, i)
-    solver = (
-        eigenvalues_tridiagonal
-        if params.bc is BoundaryCondition.OPEN
-        else eigenvalues_dense
-    )
-    return solver(build_chain(params, real)).gap
+    return chain_gap(build_chain(params, real))
 
 
 def estimate_mean_nu(
@@ -254,12 +247,14 @@ def estimate_mean_nu(
 
     Critical realizations (exact boundary ties) are excluded from the
     average and reported in n_excluded rather than silently resampled.
+    Fewer than _POOL_MIN_INDEX realizations are mapped in-process whatever
+    `threads` says.
     """
     if r < 2:
         raise ValueError("need at least 2 realizations")
     _check_params(params, dist)
     worker = partial(_nu_worker, params, dist, master_seed)
-    vals = _map_indices(worker, r, threads)
+    vals = _map_indices(worker, r, threads if r >= _POOL_MIN_INDEX else 1)
     kept = np.array([v for v in vals if v is not None], dtype=float)
     excluded = r - len(kept)
     if len(kept) < 2:

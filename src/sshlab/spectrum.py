@@ -5,6 +5,13 @@ bisection and implicit-shift QL for symmetric tridiagonal eigenvalues, a
 batched bisection of only the four central levels of open chains,
 Householder reduction for dense symmetric matrices, and shifted inverse
 iteration for the pair of eigenvectors closest to zero energy.
+
+An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
+its levels are the singular values +/-sigma of the n x n block Q.  Rings
+reach their gap through a Householder bidiagonalization of Q, whose
+Golub-Kahan tridiagonal is a zero-diagonal open chain with the same levels;
+the central-level kernel bisects it.  `chain_gap` is the one gap dispatch
+for every chain matrix.
 """
 
 from __future__ import annotations
@@ -20,11 +27,13 @@ from .model import ChainMatrix
 __all__ = [
     "ConvergenceError",
     "SpectralResult",
+    "chain_gap",
     "eigenvalues_tridiagonal",
     "eigenvalues_dense",
     "eigenvector_near_zero",
     "midgap_levels",
     "midgap_pair",
+    "ring_levels",
 ]
 
 _EPS = np.finfo(float).eps
@@ -97,6 +106,60 @@ def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sub -= vw @ vw[:, ::-1].T
     e[n - 2] = a[n - 1, n - 2]
     return np.diag(a).copy(), e
+
+
+def householder_bidiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce a real square matrix to upper bidiagonal form (d, e).
+
+    Eigenvalue-only Golub-Kahan reduction: the singular values of
+    bidiag(d, e) are those of `a`.  Step k reflects column k from the left
+    and row k from the right; both reflections reach the trailing block as
+    one rank-2 update, a GEMM of inner dimension 2.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    d = np.empty(n)
+    e = np.empty(n - 1)
+    left = np.empty((n, 2))
+    right = np.empty((n, 2))
+    for k in range(n - 1):
+        x = a[k:, k]
+        rest = a[k:, k + 1 :]
+        norm_x = math.sqrt(float(np.dot(x, x)))
+        if norm_x == 0.0:
+            d[k] = 0.0
+            u = p = None
+            row = a[k, k + 1 :].copy()
+        else:
+            d[k] = -math.copysign(norm_x, x[0])
+            u = x.copy()
+            u[0] -= d[k]
+            # left reflection I - b u u^T sends row j to row j - u_j p
+            p = (2.0 / float(np.dot(u, u))) * (u @ rest)
+            row = rest[0] - u[0] * p
+        trail = a[k + 1 :, k + 1 :]
+        norm_row = math.sqrt(float(np.dot(row, row)))
+        if norm_row == 0.0 or k == n - 2:
+            e[k] = row[0]
+            if u is not None:
+                trail -= np.outer(u[1:], p)
+            continue
+        e[k] = -math.copysign(norm_row, row[0])
+        v = row
+        v[0] -= e[k]
+        beta = 2.0 / float(np.dot(v, v))
+        if u is None:
+            trail -= np.outer(beta * (trail @ v), v)
+            continue
+        # (T - u p^T)(I - beta v v^T) = T - u p^T - q v^T
+        q = beta * (trail @ v - float(np.dot(p, v)) * u[1:])
+        m = n - 1 - k
+        lhs, rhs = left[:m], right[:m]
+        lhs[:, 0], lhs[:, 1] = u[1:], q
+        rhs[:, 0], rhs[:, 1] = p, v
+        trail -= lhs @ rhs.T
+    d[n - 1] = a[n - 1, n - 1]
+    return d, e
 
 
 def sturm_count(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -264,21 +327,27 @@ def _sturm_count_zero_diag(e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
     The pivot update (0 - x) - e2/q equals sturm_count's (0 - e2/q) - x
     bit for bit, signed zeros included.  Pivots are kept for 32 sites and
-    their signs counted in one call.
+    their signs counted in one call.  The per-site operands are views made
+    before the loop; a single chain's couplings are 0-d, which broadcast
+    over the shifts at less cost per call than a (1, 1) column.
     """
     negx = 0.0 - xs
     q = negx
     count = (q < 0.0).astype(np.int64)
-    e2 = e2.T[:, :, None]
-    buf = np.empty((min(32, len(e2)),) + xs.shape)
+    if len(e2) == 1:
+        sites = [e2[0, i, ...] for i in range(e2.shape[1])]
+    else:
+        sites = list(e2.T[:, :, None])
+    buf = np.empty((min(32, len(sites)),) + xs.shape)
+    pivots = list(buf)
     with np.errstate(divide="ignore"):
-        for start in range(0, len(e2), len(buf)):
-            block = buf[: min(len(buf), len(e2) - start)]
-            for j, c in enumerate(e2[start : start + len(block)]):
-                np.divide(c, q, out=block[j])
-                np.subtract(negx, block[j], out=block[j])
-                q = block[j]
-            count += np.count_nonzero(block < 0.0, axis=0)
+        for start in range(0, len(sites), len(buf)):
+            block = sites[start : start + len(buf)]
+            for c, out in zip(block, pivots):
+                np.divide(c, q, out=out)
+                np.subtract(negx, out, out=out)
+                q = out
+            count += np.count_nonzero(buf[: len(block)] < 0.0, axis=0)
     return count
 
 
@@ -469,6 +538,50 @@ def eigenvalues_dense(m: ChainMatrix | np.ndarray, method: str = "bisect") -> Sp
     return SpectralResult.from_eigenvalues(evals)
 
 
+def ring_levels(m: ChainMatrix) -> np.ndarray:
+    """Levels N/2-2 .. N/2+1 of an even ring of N >= 4 sites: -s2, -s1, s1, s2.
+
+    s1 <= s2 are the two smallest singular values of the sublattice block Q,
+    read from the Golub-Kahan chain [d0, e0, d1, ..., d_{n-1}] of its
+    bidiagonal form by `midgap_levels`.  Neither the 2n x 2n matrix nor an
+    inertia count through the ring corner is formed.
+    """
+    if m.is_tridiagonal or m.size % 2 or m.size < 4:
+        raise ValueError("ring levels need a ring with an even number (>= 4) of sites")
+    n = m.size // 2
+    q = np.zeros((n, n))
+    i = np.arange(n)
+    # bonds a_i-b_i, b_i-a_{i+1} and the corner b_{n-1}-a_0; rows are A sites
+    q[i, i] = m.offdiag[0::2]
+    q[i[1:], i[:-1]] = m.offdiag[1::2]
+    q[0, n - 1] = m.corner
+    d, e = householder_bidiagonalize(q)
+    couplings = np.empty(2 * n - 1)
+    couplings[0::2] = d
+    couplings[1::2] = e
+    return midgap_levels(couplings)[0]
+
+
+def _midgap_spectrum(m: ChainMatrix) -> SpectralResult:
+    """The levels that carry the gap: the four central ones where a kernel gives them.
+
+    Open chains and even rings of at least 4 sites bisect only their four
+    central levels (for open chains each is bit-identical to the same entry
+    of the full bisected spectrum); smaller chains and odd rings take the
+    whole spectrum.
+    """
+    if m.size >= 4 and m.is_tridiagonal:
+        return SpectralResult.from_eigenvalues(midgap_levels(m.offdiag)[0])
+    if m.size >= 4 and m.size % 2 == 0:
+        return SpectralResult.from_eigenvalues(ring_levels(m))
+    return eigenvalues_tridiagonal(m) if m.is_tridiagonal else eigenvalues_dense(m)
+
+
+def chain_gap(m: ChainMatrix) -> float:
+    """Spectral gap 2*min|E| of an open chain or a ring."""
+    return _midgap_spectrum(m).gap
+
+
 def _rayleigh_ritz_pair(m: ChainMatrix, v1, v2):
     """Split a 2-dim near-eigenspace into Ritz pairs of the symmetric matrix."""
     b1 = v1 / math.sqrt(float(np.dot(v1, v1)))
@@ -510,16 +623,11 @@ def midgap_pair(
     Inverse iteration with shifts at +/-E_min followed by a 2x2
     Rayleigh-Ritz split, which stays stable when the pair is numerically
     degenerate (deep topological chains).  Returns (v_minus, v_plus).
-    Without `spectral`, open chains bisect only their four central levels,
-    which carry the gap and the isolation check.
+    Without `spectral`, open chains and even rings bisect only their four
+    central levels, which carry the gap and the isolation check.
     """
     if spectral is None:
-        if not m.is_tridiagonal:
-            spectral = eigenvalues_dense(m)
-        elif m.size >= 4:
-            spectral = SpectralResult.from_eigenvalues(midgap_levels(m.offdiag)[0])
-        else:
-            spectral = eigenvalues_tridiagonal(m)
+        spectral = _midgap_spectrum(m)
     evals = spectral.eigenvalues
     n = m.size
     norm = max(m.norm_bound(), _EPS)

@@ -112,6 +112,18 @@ class TestRunners:
         ]
         assert runs[0].read_bytes() == runs[1].read_bytes() == runs[2].read_bytes()
 
+    def test_small_edge_modes_run_starts_no_pool(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from sshlab import ensemble
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        cfg = tiny("edge-modes", tmp_path, n=10, realizations=4)
+        run_experiment(replace(cfg, threads=2))
+
     def test_embedded_config_reproduces_data(self, tmp_path):
         from dataclasses import replace
 

@@ -83,9 +83,10 @@ class TestMeanNu:
     def test_thread_count_never_changes_results(self):
         params = ChainParams(n=25, u=1.0, w=0.9)
         dist = FlatDistribution(gamma=0.4, u=1.0)
-        eins = estimate_mean_nu(params, dist, 200, 5, threads=1)
-        zwei = estimate_mean_nu(params, dist, 200, 5, threads=2)
-        vier = estimate_mean_nu(params, dist, 200, 5, threads=4)
+        r = ensemble._POOL_MIN_INDEX  # the smallest ensemble that is pooled
+        eins = estimate_mean_nu(params, dist, r, 5, threads=1)
+        zwei = estimate_mean_nu(params, dist, r, 5, threads=2)
+        vier = estimate_mean_nu(params, dist, r, 5, threads=4)
         assert eins.value == zwei.value == vier.value
         assert eins.stderr == zwei.stderr == vier.stderr
 
@@ -189,15 +190,16 @@ class TestWorkerPool:
     def test_estimators_share_one_pool(self):
         params = ChainParams(n=10, u=1.0, w=0.9)
         dist = FlatDistribution(gamma=0.4, u=1.0)
-        alone = estimate_mean_nu(params, dist, 40, 5, threads=2).value
+        r = ensemble._POOL_MIN_INDEX
+        alone = estimate_mean_nu(params, dist, r, 5, threads=2).value
         with ensemble.worker_pool(2):
-            shared = estimate_mean_nu(params, dist, 40, 5, threads=2).value
+            shared = estimate_mean_nu(params, dist, r, 5, threads=2).value
             executor = ensemble._run_pools[-1].executor
             assert executor is not None
             estimate_mean_gap(params, dist, 8, 5, threads=2)
             assert ensemble._run_pools[-1].executor is executor
             # another worker count opens its own pool and leaves this one alone
-            assert estimate_mean_nu(params, dist, 40, 5, threads=1).value == alone
+            assert estimate_mean_nu(params, dist, r, 5, threads=1).value == alone
         assert shared == alone
         assert not ensemble._run_pools
         assert executor._processes is None or not any(
@@ -207,8 +209,19 @@ class TestWorkerPool:
     def test_pool_starts_only_when_needed(self):
         params = ChainParams(n=10, u=1.0, w=0.9)
         with ensemble.worker_pool(2):
-            estimate_mean_nu(params, FlatDistribution(0.4, 1.0), 3, 5, threads=2)
-            assert ensemble._run_pools[-1].executor is None
+            for r in (3, ensemble._POOL_MIN_INDEX - 1):
+                estimate_mean_nu(params, FlatDistribution(0.4, 1.0), r, 5, threads=2)
+                assert ensemble._run_pools[-1].executor is None
+
+    def test_rings_pool_one_per_task(self):
+        # four rings spread over two workers: the gap estimator keeps pooling
+        params = ChainParams(n=6, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
+        dist = FlatDistribution(0.3, 1.0)
+        serial = estimate_mean_gap(params, dist, 4, 5, threads=1)
+        with ensemble.worker_pool(2):
+            pooled = estimate_mean_gap(params, dist, 4, 5, threads=2)
+            assert ensemble._run_pools[-1].executor is not None
+        assert pooled.value == serial.value and pooled.stderr == serial.stderr
 
 
 class TestMeanGap:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import jacobi_eigenvalues
+from sshlab import spectrum
 from sshlab.model import (
     BoundaryCondition,
+    ChainMatrix,
     ChainParams,
     Realization,
     build_chain,
@@ -14,6 +16,7 @@ from sshlab.model import (
 )
 from sshlab.spectrum import (
     SpectralResult,
+    chain_gap,
     eigenvalues_dense,
     eigenvalues_tridiagonal,
     eigenvector_near_zero,
@@ -22,14 +25,35 @@ from sshlab.spectrum import (
     householder_tridiagonalize,
     midgap_levels,
     midgap_pair,
+    ring_levels,
     sturm_count,
 )
+
+EPS = np.finfo(float).eps
 
 
 def central_entries(e):
     """Entries N/2-2 .. N/2+1 of the full bisected spectrum of one open chain."""
     half = (len(e) + 1) // 2
     return eigvals_sturm(np.zeros(len(e) + 1), e)[half - 2 : half + 2]
+
+
+def ring(couplings, w):
+    params = ChainParams(n=len(couplings), u=1.0, w=w, bc=BoundaryCondition.PERIODIC)
+    return build_chain(params, Realization(couplings=couplings))
+
+
+def assert_gap_matches_eigvalsh(m):
+    """chain_gap against numpy's dense eigvalsh, within 8*N*eps*||H||.
+
+    N is taken as at least 8: bisection stops at 1e-14 of the Gershgorin
+    bound, a resolution of about 64*eps*||H|| that no size goes below.
+    """
+    ev = np.linalg.eigvalsh(m.to_dense())
+    tol = 8.0 * max(m.size, 8) * EPS * float(np.max(np.abs(ev)))
+    gap = chain_gap(m)
+    assert abs(gap - 2.0 * float(np.min(np.abs(ev)))) <= tol
+    return gap, tol
 
 
 def random_chain(rng, n=None, bc=BoundaryCondition.OPEN, w=None):
@@ -168,6 +192,96 @@ class TestMidgapLevels:
     def test_rejects_chains_below_four_sites(self):
         with pytest.raises(ValueError):
             midgap_levels(np.array([[1.0, 0.5]]))
+
+
+class TestRingGap:
+    def test_random_signed_rings_match_eigvalsh(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 61):
+            for _ in range(3):
+                m = ring(rng.uniform(-1.8, 1.8, n), float(rng.uniform(-1.8, 1.8)))
+                assert_gap_matches_eigvalsh(m)
+
+    def test_clean_ring_gap(self):
+        # even n holds the momentum k = pi, where same-sign bands come closest
+        for n, u, w in ((2, 1.0, 0.8), (8, 1.0, 0.8), (40, 0.6, 1.5), (26, -1.2, -0.4)):
+            m = ring(np.full(n, u), w)
+            gap, tol = assert_gap_matches_eigvalsh(m)
+            assert gap == pytest.approx(2.0 * abs(u - w), abs=tol)
+
+    def test_critical_clean_ring(self):
+        # u = w: ring momenta k = 2 pi j / n bound the gap by 2 pi / n
+        for n in (8, 9, 50, 51):
+            gap, _ = assert_gap_matches_eigvalsh(ring(np.full(n, 1.0), 1.0))
+            assert gap <= 2.0 * math.pi / n
+
+    def test_near_critical_rings(self):
+        # c06's ensemble: 300-dimer rings at w = 0.8 around its gap minimum
+        rng = np.random.default_rng(32)
+        for gamma in (0.5, 0.6, 0.7, 0.8):
+            half = math.sqrt(3.0) * gamma
+            for _ in range(3):
+                assert_gap_matches_eigvalsh(ring(rng.uniform(1.0 - half, 1.0 + half, 300), 0.8))
+
+    def test_zero_coupling_takes_clamped_route(self, monkeypatch):
+        # two vanishing intra-dimer bonds cut the ring into two open chains,
+        # and the bidiagonal form carries an exact zero
+        calls = []
+        sturm = spectrum.eigvals_sturm
+        monkeypatch.setattr(spectrum, "eigvals_sturm", lambda d, e: calls.append(1) or sturm(d, e))
+        m = ring(np.array([0.0, 1.0, 1.0, 1.0, 0.0, 1.0]), 0.9)
+        assert_gap_matches_eigvalsh(m)
+        assert calls
+
+    def test_deep_ring_stays_finite(self):
+        # w/u = 2 over 2000 dimers: |w/u|^n is far past 1e308
+        n, u, w = 2000, 1.0, 2.0
+        levels = ring_levels(ring(np.full(n, u), w))
+        bands = np.sort(-dispersion(u, w, 2.0 * np.pi * np.arange(n) / n))
+        expected = [-bands[1], -bands[0], bands[0], bands[1]]
+        tol = 8.0 * 2 * n * EPS * (u + w)
+        np.testing.assert_allclose(levels, expected, rtol=0.0, atol=tol)
+
+    def test_levels_are_the_central_eigenvalues(self):
+        rng = np.random.default_rng(33)
+        m = ring(rng.uniform(0.3, 1.7, 30), 0.9)
+        ev = np.linalg.eigvalsh(m.to_dense())
+        tol = 8.0 * m.size * EPS * float(np.max(np.abs(ev)))
+        np.testing.assert_allclose(ring_levels(m), ev[28:32], rtol=0.0, atol=tol)
+
+    def test_midgap_pair_without_spectrum_on_a_ring(self):
+        rng = np.random.default_rng(34)
+        m = ring(rng.uniform(0.3, 1.7, 12), 0.9)
+        lam = 0.5 * chain_gap(m)
+        v_minus, v_plus = midgap_pair(m)
+        for v, sign in ((v_plus, 1.0), (v_minus, -1.0)):
+            assert np.linalg.norm(m.matvec(v) - sign * lam * v) <= 1e-10 * m.norm_bound()
+
+    def test_odd_ring_keeps_dense_route(self):
+        m = ChainMatrix(offdiag=[1.0, 0.7, 1.3, 0.9], corner=0.8)
+        assert chain_gap(m) == eigenvalues_dense(m).gap
+        with pytest.raises(ValueError):
+            ring_levels(m)
+
+    def test_open_chain_gap_bit_identical_to_full_bisection(self):
+        rng = np.random.default_rng(21)
+        chains = []
+        for size in (2, 3, 4, 5, 9, 24, 61, 200):
+            e = rng.uniform(-2.0, 2.0, (3, size - 1))
+            e[:, 1::2] = rng.uniform(0.3, 1.7)
+            chains += list(e)
+        e = rng.uniform(0.3, 1.7, (2, 19))
+        e[0, 8] = 0.0
+        e[1, 0] = 1e-170
+        chains += list(e)
+        walls = np.full(40, 0.5)
+        walls[15:25] = 2.0
+        chains.append(build_chain(ChainParams(n=40, u=0.5, w=1.0), Realization(walls)).offdiag)
+        deep = ChainParams(n=2000, u=1.0, w=2.0)
+        chains.append(build_chain(deep, Realization(np.full(2000, 1.0))).offdiag)
+        for offdiag in chains:
+            m = ChainMatrix(offdiag=offdiag)
+            assert chain_gap(m) == eigenvalues_tridiagonal(m).gap
 
 
 class TestDense:
