@@ -2,7 +2,8 @@
 
 Each experiment writes a data file whose `#` header embeds the resolved
 scientific configuration as JSON, plus a `.meta.json` sidecar with run
-provenance (wall time, thread count, version).  Scheduling knobs (threads,
+provenance (wall time, requested threads, the worker count they resolved
+to and whether a process pool started, version).  Scheduling knobs (threads,
 output path) live only in the sidecar so reruns with a different thread
 count stay byte-identical in the data section.
 """
@@ -231,16 +232,18 @@ def _data_bytes(cfg: RunConfig, columns: list[str], rows: list[list]) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
 
 
-def _write_outputs(cfg: RunConfig, columns, rows, wall_time: float) -> Path:
+def _write_outputs(cfg: RunConfig, columns, rows, wall_time: float, pool) -> Path:
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(_data_bytes(cfg, columns, rows))
     sidecar = {
         "config": cfg.data_dict(),
         "out": str(out),
+        "pool_started": pool.executor is not None,
         "threads": cfg.threads,
         "version": f"sshlab {__version__}",
         "wall_time_s": wall_time,
+        "workers": pool.threads,
     }
     out.with_suffix(out.suffix + ".meta.json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
@@ -307,20 +310,16 @@ def run_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
         for wi, w in enumerate(cfg.w_grid):
             index = gi * len(cfg.w_grid) + wi
             real = ensemble.sample_realization(dist, cfg.n, cfg.master_seed, index)
-            params = model.ChainParams(
-                n=cfg.n,
-                u=cfg.u,
-                w=w,
-                bc=model.BoundaryCondition.PERIODIC
-                if cfg.bc == "periodic"
-                else model.BoundaryCondition.OPEN,
-            )
-            gap = spectrum.chain_gap(model.build_chain(params, real))
+            params = replace(cfg.chain_params(), w=w)
+            chain = model.build_chain(params, real)
+            gap = spectrum.chain_gap(chain)
             try:
                 nu = invariant.winding_closed_form(real, params)
             except invariant.CriticalRealizationError:
                 nu = math.nan  # grid point sits exactly on the boundary
-            log_gap = math.log(gap / (2.0 * abs(cfg.u))) if gap > 0.0 else -math.inf
+            # a gap the kernels cannot tell from zero is written as zero
+            resolved = gap > spectrum.gap_resolution(chain)
+            log_gap = math.log(gap / (2.0 * abs(cfg.u))) if resolved else -math.inf
             rows.append([gamma, w, log_gap, nu, w0, w0_weak])
     return ["gamma", "w", "log_gap_ratio", "nu", "w0_analytic", "w0_weak"], rows
 
@@ -452,12 +451,9 @@ def run_selftest() -> int:
         )
     )
     h = model.build_flux_matrix(clean, 0.7, 0.3)
-    checks.append(
-        (
-            "determinant routes",
-            abs(h.determinant("closed_form") - h.determinant("lu")) < 1e-12,
-        )
-    )
+    lp, sp, lq, sq = h.log_terms()
+    rebuilt = sp * np.exp(lp) + sq * np.exp(lq) * np.exp(1j * h.phi)
+    checks.append(("determinant routes", abs(h.determinant() - rebuilt) < 1e-12))
     rng = np.random.default_rng(5)
     real = model.Realization(couplings=rng.uniform(0.5, 1.5, 8))
     m = model.build_chain(model.ChainParams(n=8, u=1.0, w=0.8), real)
@@ -475,6 +471,9 @@ def run_selftest() -> int:
             np.array_equal(spectrum.midgap_levels(m.offdiag)[0], ev[6:10]),
         )
     )
+    v_minus, v_plus = spectrum.midgap_pair(m, res)
+    resid = [m.matvec(v) - 0.5 * sign * res.gap * v for v, sign in ((v_plus, 1), (v_minus, -1))]
+    checks.append(("midgap pair", max(map(np.linalg.norm, resid)) <= 1e-10 * m.norm_bound()))
     ring = model.build_chain(
         model.ChainParams(n=8, u=1.0, w=0.8, bc=model.BoundaryCondition.PERIODIC), real
     )
@@ -523,9 +522,9 @@ def run_experiment(cfg: RunConfig) -> Path:
         cfg = replace(cfg, out=f"{cfg.experiment}.{'csv' if cfg.format == 'csv' else 'json'}")
     start = time.perf_counter()
     # one process pool serves every pooled estimator call of the run
-    with ensemble.worker_pool(cfg.threads):
+    with ensemble.worker_pool(cfg.threads) as pool:
         columns, rows = _RUNNERS[cfg.experiment](cfg)
-    return _write_outputs(cfg, columns, rows, wall_time=time.perf_counter() - start)
+    return _write_outputs(cfg, columns, rows, time.perf_counter() - start, pool)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .invariant import CriticalRealizationError, winding_closed_form
 from .model import BoundaryCondition, ChainParams, Realization, build_chain
-from .spectrum import SpectralResult, chain_gap, midgap_levels, midgap_pair
+from .spectrum import chain_gap, midgap_levels, midgap_vectors
 
 __all__ = [
     "FlatDistribution",
@@ -130,12 +130,14 @@ def worker_pool(threads: int):
 
     The pool starts at the first call that needs it; on exit it is shut
     down and its workers joined.  Estimators called outside, or with
-    another worker count, open a pool of their own per call.
+    another worker count, open a pool of their own per call.  Yields the
+    slot: `threads` is the resolved worker count, and `executor` stays
+    set once the pool has started.
     """
     slot = _RunPool(_resolve_threads(threads))
     _run_pools.append(slot)
     try:
-        yield
+        yield slot
     finally:
         _run_pools.remove(slot)
         if slot.executor is not None:
@@ -214,21 +216,20 @@ def _eta_worker(params, dist, master_seed, i):
 def _profile_block(params, dist, master_seed, indices):
     """Per-dimer weight of the +/- pair of states closest to zero energy.
 
-    The block's chains share one call of the central-level kernel; each
-    realization's profile is normalized to total weight 2 (two states).
+    The block's chains share one call of each batched kernel.  Dimer i
+    weighs a_i^2 + b_i^2, taken from v_+/- = (a, +/-b)/sqrt(2) as
+    `midgap_pair` builds them; each profile is normalized to total weight 2
+    (two states).
     """
-    chains = [
-        build_chain(params, sample_realization(dist, params.n, master_seed, i))
-        for i in indices
-    ]
-    levels = midgap_levels(np.array([m.offdiag for m in chains]))
-    profiles = []
-    for m, central in zip(chains, levels):
-        v_minus, v_plus = midgap_pair(m, SpectralResult.from_eigenvalues(central))
-        per_site = v_minus**2 + v_plus**2
-        per_dimer = per_site[0::2] + per_site[1::2]
-        profiles.append(per_dimer * (2.0 / per_dimer.sum()))
-    return profiles
+    offdiag = np.array(
+        [
+            build_chain(params, sample_realization(dist, params.n, master_seed, i)).offdiag
+            for i in indices
+        ]
+    )
+    a, b = midgap_vectors(offdiag, midgap_levels(offdiag))
+    per_dimer = (a / math.sqrt(2.0)) ** 2 + (b / math.sqrt(2.0)) ** 2
+    return list(per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True)))
 
 
 def _gap_worker(params, dist, master_seed, i):

@@ -103,31 +103,18 @@ def _scaled_dets(h: FluxMatrix, phis: np.ndarray) -> tuple[np.ndarray, float]:
     return zp + zq * np.exp(1j * phis), scale
 
 
-def winding_integral(
-    r: Realization, w: float, m_phi: int = 64, det_method: str = "closed_form"
-) -> WindingResult:
+def winding_integral(r: Realization, w: float, m_phi: int = 64) -> WindingResult:
     """Winding of det h(phi) over phi in [0, 2pi) by phase-increment summation.
 
     Every principal-branch increment must stay below pi/2; otherwise the
-    grid is doubled (up to 4096 samples) and the sum restarts.  The slower
-    det_method="lu" path evaluates each determinant from the assembled
-    matrix instead of the structural closed form.
+    grid is doubled (up to 4096 samples) and the sum restarts.
     """
     if m_phi < 16:
         raise ValueError("need at least 16 phase samples")
     m = int(m_phi)
     while True:
         phis = 2.0 * math.pi * np.arange(m) / m
-        h0 = build_flux_matrix(r, w, 0.0)
-        if det_method == "closed_form":
-            dets, scale = _scaled_dets(h0, phis)
-        elif det_method == "lu":
-            dets = np.array(
-                [build_flux_matrix(r, w, p).determinant("lu") for p in phis]
-            )
-            scale = 0.0
-        else:
-            raise ValueError(f"unknown det_method {det_method!r}")
+        dets, scale = _scaled_dets(build_flux_matrix(r, w, 0.0), phis)
         with np.errstate(divide="ignore"):
             log_abs = scale + np.log(np.abs(dets))
         if not np.all(log_abs > _DET_LOG_FLOOR):

@@ -155,30 +155,17 @@ class FluxMatrix:
     def n(self) -> int:
         return len(self.diagonal)
 
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        m = np.zeros((n, n), dtype=complex)
-        m[np.arange(n), np.arange(n)] = self.diagonal
-        m[np.arange(1, n), np.arange(n - 1)] = self.w
-        m[0, n - 1] += self.w * np.exp(1j * self.phi)
-        return m
+    def determinant(self) -> complex:
+        """det h(phi) in structural closed form.
 
-    def determinant(self, method: str = "closed_form") -> complex:
-        """det h(phi), either in structural closed form or via complex LU.
-
-        The closed form prod(u_i) + (-1)**(n+1) * w**n * exp(i*phi) follows
-        from cofactor expansion along the first row; it can over/underflow
-        for large n, use log_terms() for the scaled version.
+        prod(u_i) + (-1)**(n+1) * w**n * exp(i*phi) follows from cofactor
+        expansion along the first row; it can over/underflow for large n,
+        use log_terms() for the scaled version.
         """
-        if method == "closed_form":
-            n = self.n
-            return complex(
-                np.prod(self.diagonal)
-                + (-1.0) ** (n + 1) * self.w**n * np.exp(1j * self.phi)
-            )
-        if method == "lu":
-            return _lu_determinant(self.to_dense())
-        raise ValueError(f"unknown determinant method {method!r}")
+        n = self.n
+        return complex(
+            np.prod(self.diagonal) + (-1.0) ** (n + 1) * self.w**n * np.exp(1j * self.phi)
+        )
 
     def log_terms(self) -> tuple[float, float, float, float]:
         """Overflow-safe pieces of det h(phi) = sp*e^lp + sq*e^lq * e^{i phi}.
@@ -194,25 +181,6 @@ class FluxMatrix:
         lq = n * math.log(abs(self.w)) if self.w != 0.0 else -math.inf
         sq = (-1.0) ** (n + 1) * math.copysign(1.0, self.w) ** n if self.w != 0.0 else 0.0
         return lp, sp, lq, sq
-
-
-def _lu_determinant(a: np.ndarray) -> complex:
-    """Determinant via complex LU with partial pivoting (oracle path)."""
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    det = 1.0 + 0.0j
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        piv = a[k, k]
-        if piv == 0.0:
-            return 0.0j
-        det *= piv
-        a[k + 1 :, k] /= piv
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return complex(det * a[-1, -1])
 
 
 def build_chain(params: ChainParams, r: Realization) -> ChainMatrix:

@@ -1,17 +1,19 @@
 """Eigensolvers for the chain matrices.
 
 Self-contained kernels, no external linear-algebra backends: Sturm-sequence
-bisection and implicit-shift QL for symmetric tridiagonal eigenvalues, a
-batched bisection of only the four central levels of open chains,
-Householder reduction for dense symmetric matrices, and shifted inverse
-iteration for the pair of eigenvectors closest to zero energy.
+bisection for symmetric tridiagonal eigenvalues, a batched bisection of
+only the four central levels of open chains, a batched shift-and-invert
+kernel for their midgap pair, and Householder reduction for dense
+symmetric matrices.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  Rings
 reach their gap through a Householder bidiagonalization of Q, whose
 Golub-Kahan tridiagonal is a zero-diagonal open chain with the same levels;
 the central-level kernel bisects it.  `chain_gap` is the one gap dispatch
-for every chain matrix.
+for every chain matrix, and `gap_resolution` the smallest gap it resolves.
+An open chain is bipartite too, with a lower-bidiagonal block B, and its
+midgap pair (a, +/-b)/sqrt(2) comes from B's smallest singular pair (a, b).
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ __all__ = [
     "eigenvalues_tridiagonal",
     "eigenvalues_dense",
     "eigenvector_near_zero",
+    "gap_resolution",
     "midgap_levels",
     "midgap_pair",
+    "midgap_vectors",
     "ring_levels",
 ]
 
@@ -351,191 +355,104 @@ def _sturm_count_zero_diag(e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return count
 
 
-def eigvals_ql(d: np.ndarray, e: np.ndarray, max_sweeps: int = 50) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix by implicit-shift QL.
+def midgap_vectors(offdiag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit sublattice vectors (a, b) of the midgap pair of open chains, one per row.
 
-    Classic rotation-chasing iteration; kept as the independent slow-path
-    cross-check for the bisection kernel.
+    `offdiag` holds the N-1 couplings of each zero-diagonal chain (N >= 4,
+    even) and `levels` its `midgap_levels` row (or any levels that hold
+    +/-s1 and +/-s2, the two smallest |E|); a chain whose s2 - s1 is at
+    rounding level gets a warning, since its pair is then not isolated.  In
+    sublattice order a chain is [[0, B], [B^T, 0]], B the lower-bidiagonal
+    block with diagonal u_i and subdiagonal w, and its +/-s1 eigenvectors
+    are (a, +/-b)/sqrt(2) for B's smallest singular pair, B b = s1 a.  Every
+    vector in their span has its A part along a and its B part along b, so
+    one shift-and-invert step near +s1, split by sublattice, gives both even
+    when the pair is numerically degenerate.  The shift is floored at
+    64*eps*bound (bound = Gershgorin), which bounds the inverse, so deep
+    chains need no log-space scaling.  A row is accepted once
+    ||H v - s1 v|| <= 1e-10*bound for v = (a, b)/sqrt(2); rows that miss
+    take another step from their iterate.  Each row's arithmetic is
+    independent of the other rows.
     """
-    d = np.asarray(d, dtype=float).copy()
-    n = len(d)
-    e = np.append(np.asarray(e, dtype=float), 0.0)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) + dd == dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(
-                    f"QL did not converge for eigenvalue {l} after {max_sweeps} sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return np.sort(d)
+    e = np.atleast_2d(np.asarray(offdiag, dtype=float))
+    rows, size = e.shape[0], e.shape[1] + 1
+    if size < 4 or size % 2:
+        raise ValueError("midgap vectors need chains with an even number (>= 4) of sites")
+    mags = np.sort(np.abs(levels), axis=1)
+    s1 = mags[:, 0]
+    ae = np.abs(e)
+    bound = np.concatenate((ae[:, :1], ae[:, :-1] + ae[:, 1:], ae[:, -1:]), axis=1).max(axis=1)
+    if np.any(mags[:, 2] - mags[:, 1] <= 1e-13 * np.maximum(bound, _EPS)):
+        warnings.warn("midgap pair is degenerate with the next eigenvalue")
+    shift = np.maximum(s1, 64.0 * _EPS * bound)
+    start = np.random.Generator(np.random.Philox(key=[0x1D5EED, size])).standard_normal(size)
+    x = np.tile(start, (rows, 1))
+    a = np.empty((rows, size // 2))
+    b = np.empty((rows, size // 2))
+    act = np.arange(rows)
+    for _ in range(4):
+        ea = e[act]
+        x = _shifted_solve(ea, shift[act], _EPS * bound[act], x)
+        y = np.empty_like(x)
+        y[:, 0::2] = _unit(x[:, 0::2])
+        y[:, 1::2] = _unit(x[:, 1::2])
+        resid = -s1[act, None] * y
+        resid[:, :-1] += ea * y[:, 1:]
+        resid[:, 1:] += ea * y[:, :-1]
+        ok = np.sqrt(0.5 * np.sum(resid * resid, axis=1)) <= 1e-10 * bound[act]
+        a[act[ok]], b[act[ok]] = y[ok, 0::2], y[ok, 1::2]
+        act, x = act[~ok], y[~ok]
+        if not len(act):
+            return a, b
+    raise ConvergenceError(f"midgap vectors of {len(act)} chains missed their residual")
 
 
-# ----------------------------------------------------------------------
-# linear solvers for inverse iteration
+def _shifted_solve(e, shift, pivmin, rhs):
+    """(T - shift) x = rhs for zero-diagonal chains T, one per row, by unpivoted LDL^T.
+
+    A pivot below pivmin = eps*bound in magnitude becomes -pivmin, a change
+    of T within its rounding error.  (The Sturm clamp at 1e-292 is too
+    small here: an exactly cancelled pivot then blows the iterate of a
+    2000-dimer chain with w/u = 2 up past 1e290.)  Sites run along the
+    first axis, so each step works on contiguous rows.
+    """
+    e, y = e.T.copy(), rhs.T.copy()
+    q = np.empty_like(y)
+    q[0] = -shift
+    for i in range(1, len(y)):
+        p = -shift - e[i - 1] * e[i - 1] / q[i - 1]
+        q[i] = np.where(np.abs(p) < pivmin, -pivmin, p)
+        e[i - 1] /= q[i - 1]  # now the multiplier of L
+        y[i] -= e[i - 1] * y[i - 1]
+    y /= q
+    for i in range(len(y) - 2, -1, -1):
+        y[i] -= e[i] * y[i + 1]
+    return np.ascontiguousarray(y.T)
 
 
-def _tridiag_factor(sub, diag, sup):
-    """LU with partial pivoting of a tridiagonal matrix, banded storage."""
-    n = len(diag)
-    u0 = np.asarray(diag, dtype=float).copy()
-    u1 = np.zeros(n)
-    u2 = np.zeros(n)
-    u1[: n - 1] = sup
-    low = np.asarray(sub, dtype=float).copy()
-    mult = np.zeros(max(n - 1, 0))
-    swapped = np.zeros(max(n - 1, 0), dtype=bool)
-    tiny = 1e-290
-    for k in range(n - 1):
-        if abs(low[k]) > abs(u0[k]):
-            swapped[k] = True
-            u0[k], low[k] = low[k], u0[k]
-            u1[k], u0[k + 1] = u0[k + 1], u1[k]
-            if k + 2 < n:
-                u2[k], u1[k + 1] = u1[k + 1], u2[k]
-        if u0[k] == 0.0:
-            u0[k] = tiny
-        m = low[k] / u0[k]
-        mult[k] = m
-        u0[k + 1] -= m * u1[k]
-        if k + 2 < n:
-            u1[k + 1] -= m * u2[k]
-    if u0[n - 1] == 0.0:
-        u0[n - 1] = tiny
-    return u0, u1, u2, mult, swapped
-
-
-def _tridiag_solve(factors, b):
-    u0, u1, u2, mult, swapped = factors
-    n = len(u0)
-    y = np.asarray(b, dtype=float).copy()
-    for k in range(n - 1):
-        if swapped[k]:
-            y[k], y[k + 1] = y[k + 1], y[k]
-        y[k + 1] -= mult[k] * y[k]
-    x = y
-    x[n - 1] /= u0[n - 1]
-    if n > 1:
-        x[n - 2] = (x[n - 2] - u1[n - 2] * x[n - 1]) / u0[n - 2]
-    for k in range(n - 3, -1, -1):
-        x[k] = (x[k] - u1[k] * x[k + 1] - u2[k] * x[k + 2]) / u0[k]
-    return x
-
-
-def _dense_factor(a):
-    """In-place LU with partial pivoting for dense shifted solves."""
-    lu = np.array(a, dtype=float)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    tiny = 1e-290
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[k] = p
-        if lu[k, k] == 0.0:
-            lu[k, k] = tiny
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    if lu[n - 1, n - 1] == 0.0:
-        lu[n - 1, n - 1] = tiny
-    return lu, piv
-
-
-def _dense_solve(factors, b):
-    lu, piv = factors
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=float).copy()
-    for k in range(n - 1):
-        p = piv[k]
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-        x[k + 1 :] -= lu[k + 1 :, k] * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - np.dot(lu[k, k + 1 :], x[k + 1 :])) / lu[k, k]
-    return x
-
-
-def _shifted_solver(m: ChainMatrix, shift: float):
-    """Return a solve(b) callable for (M - shift*I)."""
-    n = m.size
-    if m.is_tridiagonal:
-        diag = np.full(n, -shift)
-        factors = _tridiag_factor(m.offdiag, diag, m.offdiag)
-        return lambda b: _tridiag_solve(factors, b)
-    dense = m.to_dense()
-    dense[np.arange(n), np.arange(n)] -= shift
-    factors = _dense_factor(dense)
-    return lambda b: _dense_solve(factors, b)
+def _unit(x: np.ndarray) -> np.ndarray:
+    """Rows of x scaled by their largest magnitude, then to unit length."""
+    x = x / np.max(np.abs(x), axis=1, keepdims=True)
+    return x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))
 
 
 # ----------------------------------------------------------------------
 # public operations
 
 
-def eigenvalues_tridiagonal(m: ChainMatrix, method: str = "bisect") -> SpectralResult:
+def eigenvalues_tridiagonal(m: ChainMatrix) -> SpectralResult:
     """Full spectrum of an open (tridiagonal) chain matrix."""
     if not m.is_tridiagonal:
         raise ValueError("matrix has a periodic corner entry; use eigenvalues_dense")
-    d = np.zeros(m.size)
-    if method == "bisect":
-        evals = eigvals_sturm(d, m.offdiag)
-    elif method == "ql":
-        evals = eigvals_ql(d, m.offdiag)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SpectralResult.from_eigenvalues(evals)
+    return SpectralResult.from_eigenvalues(eigvals_sturm(np.zeros(m.size), m.offdiag))
 
 
-def eigenvalues_dense(m: ChainMatrix | np.ndarray, method: str = "bisect") -> SpectralResult:
+def eigenvalues_dense(m: ChainMatrix | np.ndarray) -> SpectralResult:
     """Full spectrum of a dense symmetric matrix via Householder reduction."""
     dense = m.to_dense() if isinstance(m, ChainMatrix) else np.asarray(m, dtype=float)
     if dense.shape[0] != dense.shape[1] or not np.array_equal(dense, dense.T):
         raise ValueError("matrix must be symmetric")
-    d, e = householder_tridiagonalize(dense)
-    if method == "bisect":
-        evals = eigvals_sturm(d, e)
-    elif method == "ql":
-        evals = eigvals_ql(d, e)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SpectralResult.from_eigenvalues(evals)
+    return SpectralResult.from_eigenvalues(eigvals_sturm(*householder_tridiagonalize(dense)))
 
 
 def ring_levels(m: ChainMatrix) -> np.ndarray:
@@ -582,37 +499,14 @@ def chain_gap(m: ChainMatrix) -> float:
     return _midgap_spectrum(m).gap
 
 
-def _rayleigh_ritz_pair(m: ChainMatrix, v1, v2):
-    """Split a 2-dim near-eigenspace into Ritz pairs of the symmetric matrix."""
-    b1 = v1 / math.sqrt(float(np.dot(v1, v1)))
-    b2 = v2 - float(np.dot(b1, v2)) * b1
-    nrm = math.sqrt(float(np.dot(b2, b2)))
-    if nrm < 1e-12:
-        raise ConvergenceError("inverse-iteration stagnation: collapsed subspace")
-    b2 /= nrm
-    m1 = m.matvec(b1)
-    m2 = m.matvec(b2)
-    t11 = float(np.dot(b1, m1))
-    t12 = float(np.dot(b1, m2))
-    t22 = float(np.dot(b2, m2))
-    # analytic eigendecomposition of [[t11, t12], [t12, t22]]
-    if t12 == 0.0:
-        pairs = [(t11, b1), (t22, b2)]
-    else:
-        tr = 0.5 * (t11 + t22)
-        disc = math.hypot(0.5 * (t11 - t22), t12)
-        lam_lo, lam_hi = tr - disc, tr + disc
-        theta = 0.5 * math.atan2(2.0 * t12, t11 - t22)
-        c, s = math.cos(theta), math.sin(theta)
-        y_hi = c * b1 + s * b2
-        y_lo = -s * b1 + c * b2
-        # rotation orders eigenvalues as (hi, lo); re-check via quotients
-        q_hi = float(np.dot(y_hi, m.matvec(y_hi)))
-        if abs(q_hi - lam_hi) > abs(q_hi - lam_lo):
-            y_hi, y_lo = y_lo, y_hi
-        pairs = [(lam_lo, y_lo), (lam_hi, y_hi)]
-    pairs.sort(key=lambda p: p[0])
-    return pairs
+def gap_resolution(m: ChainMatrix) -> float:
+    """The smallest gap `chain_gap` resolves: 8*max(N, 8)*eps*||H||.
+
+    ||H|| is taken as the Gershgorin bound.  Bisection stops at 1e-14 of
+    that bound, about 64*eps*||H||, which no size goes below; a gap at or
+    under this resolution cannot be told from zero.
+    """
+    return 8.0 * max(m.size, 8) * _EPS * m.norm_bound()
 
 
 def midgap_pair(
@@ -620,63 +514,18 @@ def midgap_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenvectors of the +/- eigenvalue pair closest to zero.
 
-    Inverse iteration with shifts at +/-E_min followed by a 2x2
-    Rayleigh-Ritz split, which stays stable when the pair is numerically
-    degenerate (deep topological chains).  Returns (v_minus, v_plus).
-    Without `spectral`, open chains and even rings bisect only their four
-    central levels, which carry the gap and the isolation check.
+    Open chains with an even number (>= 4) of sites only.  Returns
+    (v_minus, v_plus) with v_+/- = (a, +/-b)/sqrt(2) site by site, where
+    (a, b) is the chain's `midgap_vectors` row, so v_plus belongs to +E_min.
+    Without `spectral` the four central levels are bisected.
     """
+    if not m.is_tridiagonal or m.size % 2 or m.size < 4:
+        raise ValueError("midgap pair needs an open chain with an even number (>= 4) of sites")
     if spectral is None:
         spectral = _midgap_spectrum(m)
-    evals = spectral.eigenvalues
-    n = m.size
-    norm = max(m.norm_bound(), _EPS)
-    lam = 0.5 * spectral.gap
-    abs_sorted = np.sort(np.abs(evals))
-    isolation = abs_sorted[2] - abs_sorted[1] if n > 2 else math.inf
-    if isolation <= 1e-13 * norm:
-        warnings.warn("midgap pair is degenerate with the next eigenvalue")
-
-    rng = np.random.Generator(np.random.Philox(key=[0x1D5EED, n]))
-    tol = 1e-10 * norm
-    start1 = rng.standard_normal(n)
-    start2 = rng.standard_normal(n)
-    v1 = _inverse_iterate(m, +lam, start1, tol)
-    v2 = _inverse_iterate(m, -lam, start2, tol)
-    if abs(float(np.dot(v1, v2))) > 1.0 - 1e-12:
-        # both iterations landed on the same vector; re-seed the second
-        v2 = _inverse_iterate(m, -lam, rng.standard_normal(n), tol)
-    pairs = _rayleigh_ritz_pair(m, v1, v2)
-    out = []
-    for theta, y in pairs:
-        resid = m.matvec(y) - theta * y
-        r = math.sqrt(float(np.dot(resid, resid)))
-        if r > tol:
-            y = _inverse_iterate(m, theta, y, tol)
-            resid = m.matvec(y) - theta * y
-            r = math.sqrt(float(np.dot(resid, resid)))
-            if r > tol:
-                raise ConvergenceError(
-                    f"inverse-iteration stagnation: residual {r:.3e} > {tol:.3e}"
-                )
-        out.append(y)
-    v_minus, v_plus = out[0], out[1]
-    return v_minus, v_plus
-
-
-def _inverse_iterate(m: ChainMatrix, shift: float, start, tol, max_iter: int = 8):
-    solve = _shifted_solver(m, shift)
-    x = np.asarray(start, dtype=float)
-    x = x / math.sqrt(float(np.dot(x, x)))
-    for _ in range(max_iter):
-        y = solve(x)
-        y = y / math.sqrt(float(np.dot(y, y)))
-        theta = float(np.dot(y, m.matvec(y)))
-        resid = m.matvec(y) - theta * y
-        if math.sqrt(float(np.dot(resid, resid))) <= tol:
-            return y
-        x = y
-    return y
+    a, b = midgap_vectors(m.offdiag, spectral.eigenvalues[None, :])
+    v_plus = np.column_stack((a[0], b[0])).ravel() / math.sqrt(2.0)
+    return v_plus * np.tile([1.0, -1.0], m.size // 2), v_plus
 
 
 def eigenvector_near_zero(

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from sshlab.model import FluxMatrix
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100) -> np.ndarray:
@@ -49,3 +53,88 @@ def permanent_free_determinant(a: np.ndarray) -> complex:
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += (-1.0) ** j * a[0, j] * permanent_free_determinant(minor)
     return total
+
+
+def flux_dense(h: FluxMatrix) -> np.ndarray:
+    """The n x n complex matrix h(phi), assembled entry by entry."""
+    n = h.n
+    m = np.zeros((n, n), dtype=complex)
+    m[np.arange(n), np.arange(n)] = h.diagonal
+    m[np.arange(1, n), np.arange(n - 1)] = h.w
+    m[0, n - 1] += h.w * np.exp(1j * h.phi)
+    return m
+
+
+def lu_determinant(h: FluxMatrix) -> complex:
+    """det h(phi) by complex LU with partial pivoting of the assembled matrix."""
+    a = flux_dense(h)
+    n = a.shape[0]
+    det = 1.0 + 0.0j
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            det = -det
+        piv = a[k, k]
+        if piv == 0.0:
+            return 0.0j
+        det *= piv
+        a[k + 1 :, k] /= piv
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    return complex(det * a[-1, -1])
+
+
+def eigvals_ql(d: np.ndarray, e: np.ndarray, max_sweeps: int = 50) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix by implicit-shift QL.
+
+    Classic rotation-chasing iteration, the independent cross-check for the
+    bisection kernel.
+    """
+    d = np.asarray(d, dtype=float).copy()
+    n = len(d)
+    e = np.append(np.asarray(e, dtype=float), 0.0)
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            sweeps += 1
+            if sweeps > max_sweeps:
+                raise RuntimeError(
+                    f"QL did not converge for eigenvalue {l} after {max_sweeps} sweeps"
+                )
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            if underflow:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+    return np.sort(d)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,39 @@ class TestRunners:
         width = fluctuation_width(1.0, n)
         assert flips, "no topological transition found along the gamma column"
         assert all(abs(f - boundary) <= 2.0 * width for f in flips)
+
+    def test_phase_diagram_floors_unresolved_gaps(self, tmp_path):
+        # gamma = 0, w = u: the clean 300-dimer ring is gapless, and the
+        # kernels' gap (rounding) is written as a zero gap; w = 0.8 keeps log(gap/2u)
+        from sshlab import ensemble, model, spectrum
+
+        cfg = tiny("phase-diagram", tmp_path, n=300, gamma_grid=(0.0,), w_grid=(0.8, 1.0))
+        rows = [r.split(",") for r in data_section(run_experiment(cfg)).splitlines()]
+        assert rows[1][2] == "-inf"
+        real = ensemble.sample_realization(
+            ensemble.FlatDistribution(gamma=0.0, u=1.0), 300, cfg.master_seed, 0
+        )
+        params = model.ChainParams(n=300, u=1.0, w=0.8, bc=model.BoundaryCondition.PERIODIC)
+        gap = spectrum.chain_gap(model.build_chain(params, real))
+        assert rows[0][2] == "%.17g" % math.log(gap / 2.0)
+
+    def test_sidecar_records_workers_and_pool(self, tmp_path):
+        import os
+        from dataclasses import replace
+
+        cfg = tiny("gap-scan", tmp_path, n=10, realizations=6)
+        paths, metas = {}, {}
+        for t in (1, 2, 0):
+            paths[t] = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
+            metas[t] = json.loads(paths[t].with_suffix(".csv.meta.json").read_text())
+        assert (metas[1]["workers"], metas[1]["pool_started"]) == (1, False)
+        assert (metas[2]["workers"], metas[2]["pool_started"]) == (2, True)
+        assert metas[0]["threads"] == 0 and metas[0]["workers"] == (os.cpu_count() or 1)
+        assert paths[1].read_bytes() == paths[2].read_bytes() == paths[0].read_bytes()
+        replay = run_experiment(
+            replace(read_embedded_config(paths[0]), out=str(tmp_path / "replay.csv"))
+        )
+        assert replay.read_bytes() == paths[1].read_bytes()
 
     def test_born_runs(self, tmp_path):
         cfg = tiny(

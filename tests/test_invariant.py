@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import lu_determinant
 from sshlab.invariant import (
     CriticalRealizationError,
     UnresolvedWindingError,
@@ -14,7 +15,7 @@ from sshlab.invariant import (
     xi_value,
     zak_phase_clean,
 )
-from sshlab.model import ChainParams, Realization
+from sshlab.model import ChainParams, Realization, build_flux_matrix
 
 
 def clean_realization(n, u):
@@ -54,9 +55,13 @@ class TestWindingIntegral:
             n = int(rng.integers(2, 8))
             real = Realization(couplings=rng.uniform(0.3, 1.8, n))
             w = float(rng.uniform(0.3, 1.8))
-            a = winding_integral(real, w, det_method="closed_form")
-            b = winding_integral(real, w, det_method="lu")
-            assert a.nu == b.nu
+            a = winding_integral(real, w)
+            # wind the oracle's LU determinants on the phase grid a settled on
+            phis = 2.0 * math.pi * np.arange(a.phase_samples) / a.phase_samples
+            dets = np.array([lu_determinant(build_flux_matrix(real, w, p)) for p in phis])
+            increments = np.angle(np.roll(dets, -1) * np.conj(dets))
+            assert float(np.max(np.abs(increments))) < 0.5 * math.pi
+            assert round(float(np.sum(increments)) / (2.0 * math.pi)) == a.nu
 
     def test_near_tie_is_unresolved(self):
         real = clean_realization(2, 1.0)

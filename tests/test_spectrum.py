@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigenvalues
+from oracles import eigvals_ql, jacobi_eigenvalues
 from sshlab import spectrum
+from sshlab.ensemble import FlatDistribution, sample_realization
 from sshlab.model import (
     BoundaryCondition,
     ChainMatrix,
@@ -20,11 +21,11 @@ from sshlab.spectrum import (
     eigenvalues_dense,
     eigenvalues_tridiagonal,
     eigenvector_near_zero,
-    eigvals_ql,
     eigvals_sturm,
     householder_tridiagonalize,
     midgap_levels,
     midgap_pair,
+    midgap_vectors,
     ring_levels,
     sturm_count,
 )
@@ -61,6 +62,27 @@ def random_chain(rng, n=None, bc=BoundaryCondition.OPEN, w=None):
     w = w if w is not None else float(rng.uniform(0.3, 1.7))
     params = ChainParams(n=n, u=1.0, w=w, bc=bc)
     return params, build_chain(params, Realization(couplings=rng.uniform(0.3, 1.7, n)))
+
+
+def projector_profile(e):
+    """Per-dimer weight of numpy eigh's midgap pair, and its Davis-Kahan bound.
+
+    The bound is ||P - P'|| <= sqrt(2) * residual / sep for the kernel's
+    residual 1e-10 * bound plus eigh's own; a dimer sums two diagonal
+    entries of the projector.
+    """
+    size = len(e) + 1
+    evals, vecs = np.linalg.eigh(np.diag(e, 1) + np.diag(e, -1))
+    pair = vecs[:, size // 2 - 1 : size // 2 + 1]
+    per_site = np.sum(pair * pair, axis=1)
+    mags = np.sort(np.abs(evals))
+    resid = (1e-10 + size * EPS) * ChainMatrix(offdiag=e).norm_bound()
+    return per_site[0::2] + per_site[1::2], 2.0 * math.sqrt(2.0) * resid / (mags[2] - mags[1])
+
+
+def kernel_profiles(e):
+    a, b = midgap_vectors(e, midgap_levels(e))
+    return a * a + b * b
 
 
 class TestTridiagonal:
@@ -194,6 +216,96 @@ class TestMidgapLevels:
             midgap_levels(np.array([[1.0, 0.5]]))
 
 
+class TestMidgapVectors:
+    def check_against_eigh(self, e):
+        for row, profile in zip(e, kernel_profiles(e)):
+            ref, tol = projector_profile(row)
+            assert float(np.max(np.abs(profile - ref))) <= tol
+
+    def test_edge_modes_chains_match_eigh_projector(self):
+        # the edge-modes grid: 100 dimers, w = 0.95, gamma from 0 to 1.8
+        rng = np.random.default_rng(41)
+        for gamma in np.linspace(0.0, 1.8, 10):
+            half = math.sqrt(3.0) * gamma
+            e = np.full((16, 199), 0.95)
+            e[:, 0::2] = rng.uniform(1.0 - half, 1.0 + half, (16, 100))
+            self.check_against_eigh(e)
+
+    def test_random_signed_chains_match_eigh_projector(self):
+        rng = np.random.default_rng(42)
+        for size in (4, 6, 10, 24, 60, 200):
+            self.check_against_eigh(rng.uniform(-2.0, 2.0, (8, size - 1)))
+
+    def test_hard_chains_match_eigh_projector(self):
+        walls = np.full(40, 0.5)
+        walls[15:25] = 2.0  # two domain walls: two near-zero pairs
+        chains = [build_chain(ChainParams(n=40, u=0.5, w=1.0), Realization(walls)).offdiag]
+        for n in (60, 150):  # clean topological: the pair is degenerate at n = 150
+            chains.append(build_chain(ChainParams(n=n, u=0.8, w=1.0), Realization(np.full(n, 0.8))).offdiag)
+        rng = np.random.default_rng(43)
+        cut = rng.uniform(0.3, 1.7, (2, 19))
+        cut[0, 8] = 0.0
+        cut[1, 0] = 1e-170  # squares to zero
+        for offdiag in chains + list(cut):
+            self.check_against_eigh(offdiag[None, :])
+
+    def test_degenerate_pair_of_an_edge_modes_chain(self):
+        # realization 13 of the fifth edge-modes default row: its pair is
+        # split by 2e-17, and inverse iteration with a Rayleigh-Ritz split
+        # put 8e-3 of the weight on the wrong dimers
+        dist = FlatDistribution(gamma=float(np.linspace(0.0, 1.8, 10)[4]), u=1.0)
+        real = sample_realization(dist, 100, 1 * 1_000_003 + 4, 13)
+        m = build_chain(ChainParams(n=100, u=1.0, w=0.95), real)
+        v_minus, v_plus = midgap_pair(m)
+        per_site = v_minus**2 + v_plus**2
+        ref, tol = projector_profile(m.offdiag)
+        assert float(np.max(np.abs(per_site[0::2] + per_site[1::2] - ref))) <= tol
+
+    def test_deep_chain_stays_finite_and_edge_localized(self):
+        # w/u = 2 over 2000 dimers: |w/u|^n is far past 1e308
+        n = 2000
+        m = build_chain(ChainParams(n=n, u=1.0, w=2.0), Realization(couplings=np.full(n, 1.0)))
+        profile = kernel_profiles(m.offdiag[None, :])[0]
+        assert np.all(np.isfinite(profile))
+        assert profile.sum() == pytest.approx(2.0, abs=1e-12)
+        # clean edge modes: weight 3/4 * 4^-i on dimer i from either end
+        edge = 0.75 * 0.25 ** np.arange(10)
+        np.testing.assert_allclose(profile[:10], edge, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(profile[::-1][:10], edge, rtol=0.0, atol=1e-12)
+
+    def test_rows_identical_alone_and_in_a_block(self):
+        rng = np.random.default_rng(44)
+        e = rng.uniform(-0.5, 2.5, (13, 59))
+        e[:, 1::2] = 0.95
+        e[4, 10] = 0.0
+        a, b = midgap_vectors(e, midgap_levels(e))
+        for i in range(len(e)):
+            a1, b1 = midgap_vectors(e[i : i + 1], midgap_levels(e[i : i + 1]))
+            np.testing.assert_array_equal(a1[0], a[i])
+            np.testing.assert_array_equal(b1[0], b[i])
+
+    def test_warns_when_the_pair_is_not_isolated(self):
+        # three decoupled dimers: every level is +-1
+        m = ChainMatrix(offdiag=[1.0, 0.0, 1.0, 0.0, 1.0])
+        with pytest.warns(UserWarning, match="degenerate"):
+            v_minus, v_plus = midgap_pair(m)
+        for v, sign in ((v_plus, 1.0), (v_minus, -1.0)):
+            assert np.linalg.norm(m.matvec(v) - sign * v) <= 1e-10
+
+    def test_midgap_pair_rejects_rings_and_odd_sizes(self):
+        rng = np.random.default_rng(45)
+        for m in (
+            ring(rng.uniform(0.3, 1.7, 12), 0.9),
+            ChainMatrix(offdiag=[1.0, 0.7, 1.3, 0.9]),
+            ChainMatrix(offdiag=[1.0, 0.7, 1.3, 0.9], corner=0.8),
+            ChainMatrix(offdiag=[1.0]),
+        ):
+            with pytest.raises(ValueError):
+                midgap_pair(m)
+        with pytest.raises(ValueError):
+            midgap_vectors(np.ones((2, 4)), np.ones((2, 4)))
+
+
 class TestRingGap:
     def test_random_signed_rings_match_eigvalsh(self):
         rng = np.random.default_rng(31)
@@ -248,14 +360,6 @@ class TestRingGap:
         ev = np.linalg.eigvalsh(m.to_dense())
         tol = 8.0 * m.size * EPS * float(np.max(np.abs(ev)))
         np.testing.assert_allclose(ring_levels(m), ev[28:32], rtol=0.0, atol=tol)
-
-    def test_midgap_pair_without_spectrum_on_a_ring(self):
-        rng = np.random.default_rng(34)
-        m = ring(rng.uniform(0.3, 1.7, 12), 0.9)
-        lam = 0.5 * chain_gap(m)
-        v_minus, v_plus = midgap_pair(m)
-        for v, sign in ((v_plus, 1.0), (v_minus, -1.0)):
-            assert np.linalg.norm(m.matvec(v) - sign * lam * v) <= 1e-10 * m.norm_bound()
 
     def test_odd_ring_keeps_dense_route(self):
         m = ChainMatrix(offdiag=[1.0, 0.7, 1.3, 0.9], corner=0.8)
@@ -347,15 +451,6 @@ class TestEigenvectors:
                 resid = m.matvec(v) - sign * lam * v
                 assert np.linalg.norm(resid) <= 1e-10 * norm
             assert abs(float(v_minus @ v_plus)) <= 1e-10
-
-    def test_dense_periodic_eigenvector(self):
-        rng = np.random.default_rng(11)
-        params, m = random_chain(rng, n=10, bc=BoundaryCondition.PERIODIC)
-        spectral = eigenvalues_dense(m)
-        v_plus = eigenvector_near_zero(m, "plus", spectral)
-        lam = 0.5 * spectral.gap
-        resid = m.matvec(v_plus) - lam * v_plus
-        assert np.linalg.norm(resid) <= 1e-10 * m.norm_bound()
 
     def test_clean_topological_envelope_slope(self):
         # left-edge amplitude decays as exp(-n/xi) on the a-sublattice
