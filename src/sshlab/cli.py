@@ -443,6 +443,12 @@ def run_selftest() -> int:
             and invariant.winding_closed_form(clean2, params_triv) == 0,
         )
     )
+    p_mc, dist = model.ChainParams(n=10, u=1.0, w=1.0), ensemble.FlatDistribution(0.4, 1.0)
+    acc, _ = ensemble._log_ratio_block(p_mc, dist, 7, range(8))
+    block_nu = invariant.index_from_log_xi(invariant.log_xi_offset(p_mc) + acc)
+    rows = [ensemble.sample_realization(dist, 10, 7, i) for i in range(8)]
+    row_nu = [invariant.winding_closed_form(real, p_mc) for real in rows]
+    checks.append(("block index", np.array_equal(block_nu, row_nu)))
     checks.append(
         (
             "clean zak",

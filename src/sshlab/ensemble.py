@@ -1,11 +1,12 @@
 """Disorder sampling and deterministic parallel Monte Carlo estimators.
 
 Every realization draws from its own counter-based stream keyed by
-(master_seed, index), so realization k is bit-identical no matter how many
-workers evaluate the ensemble or in which order they run.  The map phase
-fans out over processes (the eigensolver kernels are CPU bound in Python
-loops), one realization or one fixed block of realizations per task, and
-the reduction always walks results in index order.
+(master_seed, index), re-keying one Philox per process, so realization k is
+bit-identical no matter how many workers evaluate the ensemble or in which
+order they run.  Each estimator maps fixed blocks of consecutive
+realizations, sized by r only, over worker processes (the kernels are CPU
+bound in Python loops), and the reduction walks results in index order.
+The index of a block comes from its row sums acc_i = sum_j log|c_ij/u|.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from functools import partial
 
 import numpy as np
 
-from .invariant import CriticalRealizationError, winding_closed_form
+from .invariant import index_from_log_xi, log_ratio_sums, log_xi_offset
 from .model import BoundaryCondition, ChainParams, Realization, build_chain
 from .spectrum import chain_gap, midgap_levels, midgap_vectors
 
 __all__ = [
     "FlatDistribution",
     "EnsembleEstimate",
-    "realization_rng",
     "sample_realization",
     "estimate_mean_nu",
     "estimate_eta_moments",
@@ -36,12 +36,18 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# realizations per batched-kernel block
-_BLOCK = 16
-# closed-form index ensembles smaller than this run in-process: dispatching to
-# the pool costs more than it saves below a crossover measured near 128-256
-# realizations (n = 100, 2 cores, a pool already running)
-_POOL_MIN_INDEX = 256
+# realizations per block of the batched midgap-profile kernels
+_PROFILE_BLOCK = 16
+# realizations per block of the index and eta ensembles (about 10 us each at
+# n = 100): an ensemble of one block runs in-process, and with blocks this
+# large two workers beat one at r = 1000 and r = 15000 (2 cores), while at
+# r = 300 a pool would cost more than it saves
+_INDEX_BLOCK = 500
+# the process's one Philox, re-keyed per realization (`_stream`), and the
+# state of a fresh Philox: counter 0, empty buffer
+_PHILOX = np.random.Philox(0)
+_GENERATOR = np.random.Generator(_PHILOX)
+_FRESH_STATE = _PHILOX.state
 
 
 @dataclass(frozen=True)
@@ -95,30 +101,39 @@ class EnsembleEstimate:
     n_resampled: int = 0
 
 
-def realization_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one realization, independent of threading."""
-    if index < 0:
-        raise ValueError("index must be nonnegative")
+def _stream(master_seed: int, index: int) -> np.random.Generator:
+    """The process's generator at the start of realization `index`'s stream.
+
+    Its draws are bit-identical to those of a Generator(Philox(key)) built
+    for the key (master_seed, index) alone.
+    """
     key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    _FRESH_STATE["state"]["key"] = key
+    _PHILOX.state = _FRESH_STATE
+    return _GENERATOR
+
+
+def _sample_block(dist: FlatDistribution, n: int, master_seed: int, indices) -> np.ndarray:
+    """The n couplings of each realization in `indices`, one row each."""
+    return np.array([dist.sample(_stream(master_seed, i), n) for i in indices])
 
 
 def sample_realization(
     dist: FlatDistribution, n: int, master_seed: int, index: int
 ) -> Realization:
     """Draw the n couplings of realization `index` from its own stream."""
-    rng = realization_rng(master_seed, index)
-    return Realization(
-        couplings=dist.sample(rng, n), master_seed=master_seed, index=index
-    )
+    if index < 0:
+        raise ValueError("index must be nonnegative")
+    couplings = _sample_block(dist, n, master_seed, [index])[0]
+    return Realization(couplings=couplings, master_seed=master_seed, index=index)
 
 
+@dataclass
 class _RunPool:
     """A process pool shared by the estimator calls of one run."""
 
-    def __init__(self, threads: int):
-        self.threads = threads
-        self.executor: ProcessPoolExecutor | None = None
+    threads: int
+    executor: ProcessPoolExecutor | None = None
 
 
 _run_pools: list[_RunPool] = []
@@ -148,69 +163,63 @@ def _resolve_threads(threads: int) -> int:
     return threads or os.cpu_count() or 1
 
 
-def _pool_map(worker, items, threads: int, chunksize: int) -> list:
+def _map_blocks(worker, params, dist, master_seed, r: int, block: int, threads: int) -> list:
+    """worker(params, dist, master_seed, indices) over blocks of 0..r-1, in order.
+
+    Blocks hold `block` indices (the last one the remainder), a size the
+    worker count never changes, and each block is farmed out whole, so
+    every worker call sees the same rows with any number of workers.  An
+    ensemble of one block, or a run with one worker, stays in-process.
+    """
+    if params.u != dist.u:
+        raise ValueError(f"distribution center {dist.u} does not match chain coupling {params.u}")
+    worker = partial(worker, params, dist, master_seed)
+    blocks = [range(s, min(s + block, r)) for s in range(0, r, block)]
+    threads = _resolve_threads(threads)
+    if threads <= 1 or len(blocks) < 2:
+        return [worker(b) for b in blocks]
+    chunksize = max(1, len(blocks) // (threads * 4))
     slot = _run_pools[-1] if _run_pools else None
     if slot is not None and slot.threads == threads:
         if slot.executor is None:
             slot.executor = ProcessPoolExecutor(max_workers=threads)
-        return list(slot.executor.map(worker, items, chunksize=chunksize))
+        return list(slot.executor.map(worker, blocks, chunksize=chunksize))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items, chunksize=chunksize))
+        return list(pool.map(worker, blocks, chunksize=chunksize))
 
 
-def _map_indices(worker, r: int, threads: int):
-    """worker(index) for index 0..r-1, gathered in index order.
+def _mean_stderr(x: np.ndarray):
+    """Mean over axis 0 and its standard error (nan from a single sample)."""
+    n = len(x)
+    se = x.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.full(x.shape[1:], math.nan)
+    return x.mean(axis=0), se
 
-    Work is farmed out to a process pool when more than one worker is
-    requested; each index is computed identically either way, so the
-    worker count never changes the numbers.
+
+def _log_ratio_block(params, dist, master_seed, indices, redraw_zeros=False):
+    """Row sums acc_i = sum_j log|c_ij/u| of a block, and the rows redrawn.
+
+    With redraw_zeros, a row holding an exactly zero coupling is drawn
+    again from its own stream, continuing where that stream left off,
+    until it holds none; each redraw is counted.
     """
-    threads = _resolve_threads(threads)
-    if threads <= 1 or r < 4:
-        return [worker(i) for i in range(r)]
-    chunksize = max(1, min(512, r // (threads * 4) or 1))
-    return _pool_map(worker, range(r), threads, chunksize)
-
-
-def _map_blocks(worker, r: int, threads: int):
-    """worker(indices) over consecutive blocks of 0..r-1, concatenated in index order.
-
-    Blocks hold _BLOCK indices (the last one the remainder) whatever the
-    worker count, and each block is farmed out whole, so a batched kernel
-    sees the same rows with any number of workers.
-    """
-    blocks = [range(s, min(s + _BLOCK, r)) for s in range(0, r, _BLOCK)]
-    threads = _resolve_threads(threads)
-    if threads <= 1 or len(blocks) < 2:
-        results = [worker(b) for b in blocks]
-    else:
-        results = _pool_map(worker, blocks, threads, 1)
-    return [x for block in results for x in block]
-
-
-def _check_params(params: ChainParams, dist: FlatDistribution):
-    if params.u != dist.u:
-        raise ValueError(
-            f"distribution center {dist.u} does not match chain coupling {params.u}"
-        )
-
-
-def _nu_worker(params, dist, master_seed, i):
-    real = sample_realization(dist, params.n, master_seed, i)
-    try:
-        return winding_closed_form(real, params)
-    except CriticalRealizationError:
-        return None
-
-
-def _eta_worker(params, dist, master_seed, i):
-    rng = realization_rng(master_seed, i)
-    couplings = dist.sample(rng, params.n)
+    couplings = _sample_block(dist, params.n, master_seed, indices)
     redraws = 0
-    while np.any(couplings == 0.0):
-        redraws += 1
-        couplings = dist.sample(rng, params.n)
-    return float(np.sum(np.log(np.abs(couplings / params.u)))), redraws
+    if redraw_zeros:
+        for k in np.flatnonzero(np.any(couplings == 0.0, axis=1)):
+            rng = _stream(master_seed, indices[k])
+            row = dist.sample(rng, params.n)  # the draw that held a zero
+            while np.any(row == 0.0):
+                redraws += 1
+                row = dist.sample(rng, params.n)
+            couplings[k] = row
+    return log_ratio_sums(couplings, params.u), redraws
+
+
+def _chains(params, dist, master_seed, indices):
+    return [
+        build_chain(params, Realization(couplings=c, master_seed=master_seed, index=i))
+        for c, i in zip(_sample_block(dist, params.n, master_seed, indices), indices)
+    ]
 
 
 def _profile_block(params, dist, master_seed, indices):
@@ -221,20 +230,14 @@ def _profile_block(params, dist, master_seed, indices):
     `midgap_pair` builds them; each profile is normalized to total weight 2
     (two states).
     """
-    offdiag = np.array(
-        [
-            build_chain(params, sample_realization(dist, params.n, master_seed, i)).offdiag
-            for i in indices
-        ]
-    )
+    offdiag = np.array([m.offdiag for m in _chains(params, dist, master_seed, indices)])
     a, b = midgap_vectors(offdiag, midgap_levels(offdiag))
     per_dimer = (a / math.sqrt(2.0)) ** 2 + (b / math.sqrt(2.0)) ** 2
-    return list(per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True)))
+    return per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True))
 
 
-def _gap_worker(params, dist, master_seed, i):
-    real = sample_realization(dist, params.n, master_seed, i)
-    return chain_gap(build_chain(params, real))
+def _gap_block(params, dist, master_seed, indices):
+    return [chain_gap(m) for m in _chains(params, dist, master_seed, indices)]
 
 
 def estimate_mean_nu(
@@ -246,29 +249,24 @@ def estimate_mean_nu(
 ) -> EnsembleEstimate:
     """Mean of the closed-form index over r realizations.
 
-    Critical realizations (exact boundary ties) are excluded from the
-    average and reported in n_excluded rather than silently resampled.
-    Fewer than _POOL_MIN_INDEX realizations are mapped in-process whatever
+    log xi_i = n*log|u/w| + acc_i from each block's row sums, thresholded by
+    `invariant.index_from_log_xi` as in `winding_closed_form`.  Critical
+    realizations (log xi exactly 0) are excluded from the average and
+    reported in n_excluded rather than silently resampled.  Up to
+    _INDEX_BLOCK realizations (one block) run in-process whatever
     `threads` says.
     """
     if r < 2:
         raise ValueError("need at least 2 realizations")
-    _check_params(params, dist)
-    worker = partial(_nu_worker, params, dist, master_seed)
-    vals = _map_indices(worker, r, threads if r >= _POOL_MIN_INDEX else 1)
-    kept = np.array([v for v in vals if v is not None], dtype=float)
-    excluded = r - len(kept)
+    offset = log_xi_offset(params)
+    blocks = _map_blocks(_log_ratio_block, params, dist, master_seed, r, _INDEX_BLOCK, threads)
+    nu = index_from_log_xi(offset + np.concatenate([acc for acc, _ in blocks]))
+    kept = nu[~np.isnan(nu)]
     if len(kept) < 2:
         raise RuntimeError("fewer than 2 non-critical realizations")
-    mean = float(kept.mean())
-    stderr = float(kept.std(ddof=1) / math.sqrt(len(kept)))
+    mean, stderr = _mean_stderr(kept)
     return EnsembleEstimate(
-        quantity="mean_nu",
-        value=mean,
-        stderr=stderr,
-        n_realizations=len(kept),
-        master_seed=master_seed,
-        n_excluded=excluded,
+        "mean_nu", float(mean), float(stderr), len(kept), master_seed, n_excluded=r - len(kept)
     )
 
 
@@ -287,27 +285,18 @@ def estimate_eta_moments(
     """
     if r < 100:
         raise ValueError("need at least 100 realizations for moment estimates")
-    _check_params(params, dist)
     if params.u == 0.0:
         raise ValueError("u must be nonzero")
-    worker = partial(_eta_worker, params, dist, master_seed)
-    results = _map_indices(worker, r, threads)
-    etas = np.array([eta for eta, _ in results])
+    worker = partial(_log_ratio_block, redraw_zeros=True)
+    results = _map_blocks(worker, params, dist, master_seed, r, _INDEX_BLOCK, threads)
+    etas = np.concatenate([acc for acc, _ in results])
+    mean, var = float(etas.mean()), float(etas.var(ddof=1))
+    m4 = float(np.mean((etas - mean) ** 4))
+    se_var = math.sqrt(max((m4 - var * var * (r - 3) / (r - 1)) / r, 0.0))
+    stderr = np.array([math.sqrt(var / r), se_var])
     n_resampled = sum(redraws for _, redraws in results)
-    mean = float(etas.mean())
-    var = float(etas.var(ddof=1))
-    se_mean = math.sqrt(var / r)
-    centered = etas - mean
-    m4 = float(np.mean(centered**4))
-    var_of_var = (m4 - var * var * (r - 3) / (r - 1)) / r
-    se_var = math.sqrt(max(var_of_var, 0.0))
     return EnsembleEstimate(
-        quantity="eta_moments",
-        value=np.array([mean, var]),
-        stderr=np.array([se_mean, se_var]),
-        n_realizations=r,
-        master_seed=master_seed,
-        n_resampled=n_resampled,
+        "eta_moments", np.array([mean, var]), stderr, r, master_seed, n_resampled=n_resampled
     )
 
 
@@ -328,22 +317,9 @@ def estimate_wavefunction_profile(
         raise ValueError("need at least 1 realization")
     if params.bc is not BoundaryCondition.OPEN:
         raise ValueError("wavefunction profile requires open boundaries")
-    _check_params(params, dist)
-    worker = partial(_profile_block, params, dist, master_seed)
-    profiles = np.array(_map_blocks(worker, r, threads))
-    mean = profiles.mean(axis=0)
-    stderr = (
-        profiles.std(axis=0, ddof=1) / math.sqrt(r)
-        if r > 1
-        else np.full(params.n, math.nan)
-    )
-    return EnsembleEstimate(
-        quantity="wavefunction_profile",
-        value=mean,
-        stderr=stderr,
-        n_realizations=r,
-        master_seed=master_seed,
-    )
+    blocks = _map_blocks(_profile_block, params, dist, master_seed, r, _PROFILE_BLOCK, threads)
+    profiles = np.concatenate(blocks)
+    return EnsembleEstimate("wavefunction_profile", *_mean_stderr(profiles), r, master_seed)
 
 
 def estimate_mean_gap(
@@ -353,18 +329,12 @@ def estimate_mean_gap(
     master_seed: int,
     threads: int = 0,
 ) -> EnsembleEstimate:
-    """Mean spectral gap 2*min|E_j| over r realizations."""
+    """Mean spectral gap 2*min|E_j| over r realizations.
+
+    One realization per block, so a handful of rings spreads over the workers.
+    """
     if r < 1:
         raise ValueError("need at least 1 realization")
-    _check_params(params, dist)
-    worker = partial(_gap_worker, params, dist, master_seed)
-    gaps = np.array(_map_indices(worker, r, threads))
-    mean = float(gaps.mean())
-    stderr = float(gaps.std(ddof=1) / math.sqrt(r)) if r > 1 else math.nan
-    return EnsembleEstimate(
-        quantity="mean_gap",
-        value=mean,
-        stderr=stderr,
-        n_realizations=r,
-        master_seed=master_seed,
-    )
+    blocks = _map_blocks(_gap_block, params, dist, master_seed, r, 1, threads)
+    mean, stderr = _mean_stderr(np.concatenate(blocks))
+    return EnsembleEstimate("mean_gap", float(mean), float(stderr), r, master_seed)

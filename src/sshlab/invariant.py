@@ -26,6 +26,9 @@ __all__ = [
     "XiValue",
     "winding_integral",
     "winding_closed_form",
+    "index_from_log_xi",
+    "log_ratio_sums",
+    "log_xi_offset",
     "xi_value",
     "zak_phase_clean",
 ]
@@ -63,33 +66,47 @@ class XiValue:
         return math.exp(self.log_xi)
 
 
-def xi_value(r: Realization, params: ChainParams) -> XiValue:
-    """log xi = n*log|u/w| + sum log|u_i/u|, accumulated in log space."""
+def log_xi_offset(params: ChainParams) -> float:
+    """n*log|u/w|, the part of log xi that every realization shares."""
     if params.u == 0.0:
         raise ValueError("u must be nonzero to form coupling ratios")
     if params.w == 0.0:
         raise ValueError("w must be nonzero to form xi")
+    return params.n * math.log(abs(params.u / params.w))
+
+
+def log_ratio_sums(couplings: np.ndarray, u: float) -> np.ndarray:
+    """sum_j log|c_j/u| per row (last axis), bit-identical to the row's own sum; -inf at a zero."""
+    with np.errstate(divide="ignore"):
+        return np.sum(np.log(np.abs(couplings / u)), axis=-1)
+
+
+def index_from_log_xi(log_xi) -> np.ndarray:
+    """Index per realization from log xi: 1 where log xi < 0, 0 where it is > 0.
+
+    log xi == 0 sits on the phase boundary and gives nan.  A zero coupling
+    (log xi = -inf) forces xi = 0 < 1, so the index is 1; that case is
+    flagged with a warning because the chain is then cut.
+    """
+    if np.any(log_xi == -math.inf):
+        warnings.warn("zero coupling in realization; xi = 0, returning nu = 1")
+    return np.where(log_xi == 0.0, math.nan, np.where(log_xi < 0.0, 1.0, 0.0))
+
+
+def xi_value(r: Realization, params: ChainParams) -> XiValue:
+    """log xi = n*log|u/w| + sum log|u_i/u|, accumulated in log space."""
+    offset = log_xi_offset(params)
     if r.n != params.n:
         raise ValueError(f"realization has {r.n} couplings, params expect {params.n}")
-    n = params.n
-    with np.errstate(divide="ignore"):
-        acc = float(np.sum(np.log(np.abs(r.couplings / params.u))))
-    return XiValue(log_xi=n * math.log(abs(params.u / params.w)) + acc)
+    return XiValue(log_xi=float(offset + log_ratio_sums(r.couplings, params.u)))
 
 
 def winding_closed_form(r: Realization, params: ChainParams) -> int:
-    """Index from the sign of log xi: 1 for log xi < 0, 0 for log xi > 0.
-
-    A coupling that is exactly zero forces xi = 0 < 1, so the index is 1;
-    that case is flagged with a warning because the chain is then cut.
-    """
-    log_xi = xi_value(r, params).log_xi
-    if log_xi == -math.inf:
-        warnings.warn("zero coupling in realization; xi = 0, returning nu = 1")
-        return 1
-    if log_xi == 0.0:
+    """Index from the sign of log xi (`index_from_log_xi`) of one realization."""
+    nu = index_from_log_xi(xi_value(r, params).log_xi)
+    if np.isnan(nu):
         raise CriticalRealizationError("xi = 1 exactly: gapless realization")
-    return 1 if log_xi < 0.0 else 0
+    return int(nu)
 
 
 def _scaled_dets(h: FluxMatrix, phis: np.ndarray) -> tuple[np.ndarray, float]:

@@ -8,6 +8,16 @@ import numpy as np
 
 from sshlab.model import FluxMatrix
 
+_MASK64 = (1 << 64) - 1
+
+
+def realization_rng(master_seed: int, index: int) -> np.random.Generator:
+    """The reference stream of one realization: a fresh Philox keyed (master_seed, index)."""
+    if index < 0:
+        raise ValueError("index must be nonnegative")
+    key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.

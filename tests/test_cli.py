@@ -104,9 +104,9 @@ class TestRunners:
     def test_edge_modes_threads_do_not_change_bytes(self, tmp_path):
         from dataclasses import replace
 
-        from sshlab.ensemble import _BLOCK
+        from sshlab.ensemble import _PROFILE_BLOCK
 
-        cfg = tiny("edge-modes", tmp_path, n=10, realizations=3 * _BLOCK + 2)
+        cfg = tiny("edge-modes", tmp_path, n=10, realizations=3 * _PROFILE_BLOCK + 2)
         runs = [
             run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"em{t}.csv")))
             for t in (1, 2, 0)
@@ -261,6 +261,7 @@ class TestMainEntry:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
+        assert "ok  block index" in out
 
     def test_cli_overrides_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -288,6 +289,19 @@ class TestMainEntry:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mean-nu", "--w", "0"], "w must be nonzero"),
+            (["gap-scan", "--u", "0"], "u must be nonzero"),
+        ],
+    )
+    def test_zero_coupling_parameters_exit_code(self, tmp_path, capsys, argv, message):
+        small = ["--n", "8", "--realizations", "4", "--gamma-grid", "0.1,0.3"]
+        code = main(argv + small + ["--out", str(tmp_path / "z.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_reports_output_path(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

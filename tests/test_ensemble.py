@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from oracles import realization_rng
 
 from sshlab.analytic import fluctuation_width, z1_quadrature, z2_quadrature
 from sshlab import ensemble
@@ -12,9 +14,9 @@ from sshlab.ensemble import (
     estimate_mean_gap,
     estimate_mean_nu,
     estimate_wavefunction_profile,
-    realization_rng,
     sample_realization,
 )
+from sshlab.invariant import CriticalRealizationError, winding_closed_form
 from sshlab.model import (
     BoundaryCondition,
     ChainParams,
@@ -23,6 +25,58 @@ from sshlab.model import (
     coherence_length,
 )
 from sshlab.spectrum import eigenvalues_dense, eigenvalues_tridiagonal, midgap_pair
+
+# three full index blocks plus a remainder
+R_BLOCKS = 3 * ensemble._INDEX_BLOCK + 7
+
+
+class SnappedDistribution(FlatDistribution):
+    """Flat draws snapped to exact zeros in the lowest quarter of the support
+    and to exactly u in the middle half.
+
+    At n = 2 and w = u about half the rows hold a zero coupling and a
+    quarter sit exactly on the boundary (log xi = 0).
+    """
+
+    def sample(self, rng, n):
+        x = super().sample(rng, n)
+        lo, hi = self.coupling_support
+        quarter = 0.25 * (hi - lo)
+        return np.where(x < lo + quarter, 0.0, np.where(x < hi - quarter, self.u, x))
+
+
+def oracle_mean_nu(params, dist, r, seed):
+    """(mean, stderr, n_excluded) from one reference stream and one
+    winding_closed_form call per realization."""
+    nus = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(r):
+            real = Realization(couplings=dist.sample(realization_rng(seed, i), params.n))
+            try:
+                nus.append(winding_closed_form(real, params))
+            except CriticalRealizationError:
+                pass
+    kept = np.array(nus, dtype=float)
+    return float(kept.mean()), float(kept.std(ddof=1) / math.sqrt(len(kept))), r - len(kept)
+
+
+def oracle_eta(params, dist, r, seed):
+    """(mean, var, se_mean, se_var, redraws) from per-row log sums of the
+    reference stream, redrawing rows with a zero coupling from that stream."""
+    etas, redraws = [], 0
+    for i in range(r):
+        rng = realization_rng(seed, i)
+        c = dist.sample(rng, params.n)
+        while np.any(c == 0.0):
+            redraws += 1
+            c = dist.sample(rng, params.n)
+        etas.append(float(np.sum(np.log(np.abs(c / params.u)))))
+    etas = np.array(etas)
+    mean, var = float(etas.mean()), float(etas.var(ddof=1))
+    m4 = float(np.mean((etas - mean) ** 4))
+    se_var = math.sqrt(max((m4 - var * var * (r - 3) / (r - 1)) / r, 0.0))
+    return mean, var, math.sqrt(var / r), se_var, redraws
 
 
 class TestSampler:
@@ -51,6 +105,26 @@ class TestSampler:
         np.testing.assert_array_equal(a.couplings, b.couplings)
         assert not np.array_equal(a.couplings, c.couplings)
         assert not np.array_equal(a.couplings, d.couplings)
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1])
+    def test_block_rows_match_reference_stream(self, seed):
+        indices = [0, 1, 2, 7, 1000, 2**40, 2**64 - 2, 2**64 - 1]
+        for n in (1, 7, 301):
+            for gamma in (0.0, 0.3, 1.4):
+                dist = FlatDistribution(gamma=gamma, u=1.0)
+                block = ensemble._sample_block(dist, n, seed, indices)
+                assert block.shape == (len(indices), n)
+                for row, i in zip(block, indices):
+                    reference = dist.sample(realization_rng(seed, i), n)
+                    assert row.tobytes() == reference.tobytes()
+                    alone = ensemble._sample_block(dist, n, seed, [i])[0]
+                    assert alone.tobytes() == row.tobytes()
+                    single = sample_realization(dist, n, seed, i).couplings
+                    assert single.tobytes() == row.tobytes()
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_realization(FlatDistribution(0.3, 1.0), 4, 1, -1)
 
     def test_provenance_recorded(self):
         dist = FlatDistribution(gamma=0.3, u=1.0)
@@ -83,7 +157,7 @@ class TestMeanNu:
     def test_thread_count_never_changes_results(self):
         params = ChainParams(n=25, u=1.0, w=0.9)
         dist = FlatDistribution(gamma=0.4, u=1.0)
-        r = ensemble._POOL_MIN_INDEX  # the smallest ensemble that is pooled
+        r = ensemble._INDEX_BLOCK + 1  # the smallest ensemble that is pooled
         eins = estimate_mean_nu(params, dist, r, 5, threads=1)
         zwei = estimate_mean_nu(params, dist, r, 5, threads=2)
         vier = estimate_mean_nu(params, dist, r, 5, threads=4)
@@ -94,6 +168,42 @@ class TestMeanNu:
         params = ChainParams(n=10, u=1.0, w=0.9)
         with pytest.raises(ValueError):
             estimate_mean_nu(params, FlatDistribution(0.1, u=1.5), 10, 0)
+
+    def test_zero_u_or_w_rejected(self):
+        with pytest.raises(ValueError, match="u must be nonzero"):
+            estimate_mean_nu(ChainParams(n=10, u=0.0, w=0.9), FlatDistribution(0.1, 0.0), 10, 0)
+        with pytest.raises(ValueError, match="w must be nonzero"):
+            estimate_mean_nu(ChainParams(n=10, u=1.0, w=0.0), FlatDistribution(0.1, 1.0), 10, 0)
+
+    @pytest.mark.parametrize(
+        "params, dist",
+        [
+            (ChainParams(n=100, u=1.0, w=0.95), FlatDistribution(0.6, 1.0)),
+            (ChainParams(n=2, u=1.0, w=1.0), SnappedDistribution(0.5, 1.0)),
+        ],
+    )
+    def test_blocks_match_per_realization_oracle(self, params, dist):
+        expected = oracle_mean_nu(params, dist, R_BLOCKS, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for t in (1, 2, 0):
+                est = estimate_mean_nu(params, dist, R_BLOCKS, 41, threads=t)
+                assert (est.value, est.stderr, est.n_excluded) == expected
+                assert est.n_realizations + est.n_excluded == R_BLOCKS
+
+    def test_zero_coupling_row_warns_and_counts_as_one(self):
+        params = ChainParams(n=2, u=1.0, w=1.0)
+        dist = SnappedDistribution(0.5, 1.0)
+        with pytest.warns(UserWarning, match="zero coupling"):
+            est = estimate_mean_nu(params, dist, 40, 3, threads=1)
+        rows = [dist.sample(realization_rng(3, i), 2) for i in range(40)]
+        zero_rows = sum(np.any(row == 0.0) for row in rows)
+        # rows of exactly u sit on the boundary w = u: log xi = 0
+        critical_rows = sum(np.all(row == 1.0) for row in rows)
+        assert zero_rows > 0 and critical_rows > 0
+        assert est.n_excluded == critical_rows
+        assert est.value * est.n_realizations >= zero_rows
+        assert (est.value, est.stderr, est.n_excluded) == oracle_mean_nu(params, dist, 40, 3)
 
 
 class TestEtaMoments:
@@ -113,6 +223,28 @@ class TestEtaMoments:
         se_mean, se_var = est.stderr
         assert abs(mean - n * z1) <= 5.0 * se_mean
         assert abs(var - n * z2) <= 5.0 * se_var
+
+    def test_blocks_match_per_realization_oracle(self):
+        params = ChainParams(n=100, u=1.0, w=0.9)
+        dist = FlatDistribution(gamma=0.5, u=1.0)
+        mean, var, se_mean, se_var, redraws = oracle_eta(params, dist, R_BLOCKS, 9)
+        for t in (1, 2, 0):
+            est = estimate_eta_moments(params, dist, R_BLOCKS, 9, threads=t)
+            assert tuple(est.value) == (mean, var)
+            assert tuple(est.stderr) == (se_mean, se_var)
+            assert est.n_resampled == redraws == 0
+
+    def test_zero_couplings_redrawn_from_same_stream(self):
+        params = ChainParams(n=2, u=1.0, w=0.9)
+        dist = SnappedDistribution(gamma=0.5, u=1.0)
+        r = ensemble._INDEX_BLOCK + 150
+        mean, var, se_mean, se_var, redraws = oracle_eta(params, dist, r, 4)
+        assert redraws > r // 4
+        for t in (1, 2):
+            est = estimate_eta_moments(params, dist, r, 4, threads=t)
+            assert est.n_resampled == redraws
+            assert tuple(est.value) == (mean, var)
+            assert tuple(est.stderr) == (se_mean, se_var)
 
     def test_clt_skewness_bound(self):
         n, r = 100, 400
@@ -163,7 +295,7 @@ class TestWavefunctionProfile:
 
     def test_blocks_bytes_independent_of_threads(self):
         # three full blocks plus a remainder
-        r = 3 * ensemble._BLOCK + 5
+        r = 3 * ensemble._PROFILE_BLOCK + 5
         params = ChainParams(n=12, u=1.0, w=0.95)
         dist = FlatDistribution(gamma=0.9, u=1.0)
         ests = [estimate_wavefunction_profile(params, dist, r, 31, threads=t) for t in (1, 2, 0)]
@@ -172,7 +304,7 @@ class TestWavefunctionProfile:
             assert np.asarray(est.stderr).tobytes() == np.asarray(ests[0].stderr).tobytes()
 
     def test_matches_full_spectrum_profile_per_chain(self):
-        r = ensemble._BLOCK + 3
+        r = ensemble._PROFILE_BLOCK + 3
         params = ChainParams(n=15, u=1.0, w=0.95)
         dist = FlatDistribution(gamma=1.2, u=1.0)
         profiles = []
@@ -190,7 +322,7 @@ class TestWorkerPool:
     def test_estimators_share_one_pool(self):
         params = ChainParams(n=10, u=1.0, w=0.9)
         dist = FlatDistribution(gamma=0.4, u=1.0)
-        r = ensemble._POOL_MIN_INDEX
+        r = ensemble._INDEX_BLOCK + 1  # two blocks: the smallest pooled ensemble
         alone = estimate_mean_nu(params, dist, r, 5, threads=2).value
         with ensemble.worker_pool(2):
             shared = estimate_mean_nu(params, dist, r, 5, threads=2).value
@@ -209,7 +341,8 @@ class TestWorkerPool:
     def test_pool_starts_only_when_needed(self):
         params = ChainParams(n=10, u=1.0, w=0.9)
         with ensemble.worker_pool(2):
-            for r in (3, ensemble._POOL_MIN_INDEX - 1):
+            # one block, up to the largest ensemble that runs in-process
+            for r in (3, ensemble._INDEX_BLOCK):
                 estimate_mean_nu(params, FlatDistribution(0.4, 1.0), r, 5, threads=2)
                 assert ensemble._run_pools[-1].executor is None
 
