@@ -6,6 +6,11 @@ provenance (wall time, requested threads, the worker count they resolved
 to and whether a process pool started, version).  Scheduling knobs (threads,
 output path) live only in the sidecar so reruns with a different thread
 count stay byte-identical in the data section.
+
+`_EXPERIMENTS` lists each experiment once, with its runner and figure
+defaults.  Config files and flags are text that `parse_config_entries` types
+by `RunConfig`'s fields; flags win over the file, and a file's `experiment`
+must match the subcommand.
 """
 
 from __future__ import annotations
@@ -17,22 +22,13 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__, analytic, born, ensemble, invariant, model, spectrum
 
 __all__ = ["RunConfig", "load_config_file", "main"]
-
-EXPERIMENTS = (
-    "invariant",
-    "mean-nu",
-    "phase-diagram",
-    "edge-modes",
-    "gap-scan",
-    "born",
-    "selftest",
-)
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class RunConfig:
     threads: int = 0
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
@@ -70,25 +66,13 @@ class RunConfig:
         for name, grid in (("gamma_grid", self.gamma_grid), ("w_grid", self.w_grid)):
             if grid and any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        needs_gamma = self.experiment in (
-            "invariant",
-            "mean-nu",
-            "phase-diagram",
-            "edge-modes",
-            "gap-scan",
-            "born",
-        )
-        if needs_gamma and not self.gamma_grid:
+        if not self.gamma_grid:
             raise ValueError("gamma_grid must be non-empty")
-        if self.experiment in ("phase-diagram", "born") and not self.w_grid:
+        if "w_grid" in _EXPERIMENTS[self.experiment][1] and not self.w_grid:
             raise ValueError(f"{self.experiment} needs a w_grid")
 
     def chain_params(self) -> model.ChainParams:
-        bc = (
-            model.BoundaryCondition.OPEN
-            if self.bc == "open"
-            else model.BoundaryCondition.PERIODIC
-        )
+        bc = model.BoundaryCondition(self.bc)
         return model.ChainParams(n=self.n, u=self.u, w=self.w, bc=bc)
 
     def data_dict(self) -> dict:
@@ -109,51 +93,8 @@ class RunConfig:
         return cls(**d)
 
 
-_DEFAULT_GRIDS = {
-    # figure-style defaults per experiment
-    "invariant": dict(gamma_grid=tuple(np.linspace(0.0, 1.5, 16))),
-    "mean-nu": dict(
-        n=100, w=0.95, realizations=15000, gamma_grid=tuple(np.linspace(0.0, 1.5, 30))
-    ),
-    "phase-diagram": dict(
-        n=300,
-        bc="periodic",
-        gamma_grid=tuple(np.linspace(0.0, 1.5, 16)),
-        w_grid=tuple(np.linspace(0.5, 1.1, 13)),
-    ),
-    "edge-modes": dict(
-        n=100, w=0.95, realizations=100, gamma_grid=tuple(np.linspace(0.0, 1.8, 10))
-    ),
-    "gap-scan": dict(
-        n=300,
-        w=0.8,
-        bc="periodic",
-        realizations=100,
-        gamma_grid=tuple(np.linspace(0.0, 0.8, 17)),
-    ),
-    "born": dict(
-        gamma_grid=tuple(np.linspace(0.05, 1.0, 20)),
-        w_grid=(0.8, 0.9, 0.95, 0.99),
-        alpha=1e-6,
-    ),
-    "selftest": dict(gamma_grid=(0.0,)),
-}
-
-
-def default_config(experiment: str) -> RunConfig:
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    return RunConfig(experiment=experiment, **_DEFAULT_GRIDS[experiment])
-
-
 # ----------------------------------------------------------------------
-# config file parsing: flat key = value lines
-
-
-_GRID_KEYS = ("gamma_grid", "w_grid")
-_INT_KEYS = ("n", "realizations", "master_seed", "m_phi", "threads")
-_FLOAT_KEYS = ("u", "w", "alpha")
-_STR_KEYS = ("experiment", "bc", "out", "format")
+# config parsing: flat key = value text, typed by RunConfig's fields
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -171,18 +112,17 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def parse_config_entries(entries: dict[str, str]) -> dict:
+    """Typed RunConfig fields from their text; grids take `_parse_grid`'s forms."""
+    kinds = get_type_hints(RunConfig)
     out: dict = {}
     for key, raw in entries.items():
-        if key in _GRID_KEYS:
-            out[key] = _parse_grid(raw)
-        elif key in _INT_KEYS:
-            out[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(raw)
-        elif key in _STR_KEYS:
-            out[key] = raw.strip()
-        else:
+        if key not in kinds:
             raise ValueError(f"unknown config key {key!r}")
+        kind = kinds[key]
+        try:
+            out[key] = _parse_grid(raw) if kind == tuple[float, ...] else kind(raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return out
 
 
@@ -324,22 +264,25 @@ def run_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
     return ["gamma", "w", "log_gap_ratio", "nu", "w0_analytic", "w0_weak"], rows
 
 
-def run_edge_modes(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    """Averaged midgap weight per dimer along a disorder sweep."""
-    if cfg.bc != "open":
-        raise ValueError("edge-modes experiment requires open boundaries")
+def _with_mean_nu(cfg: RunConfig, estimator):
+    """(gamma, estimate, <nu>) per gamma on the same realizations; <nu> uses >= 2 for a stderr."""
     params = cfg.chain_params()
-    rows = []
     for gi, gamma in enumerate(cfg.gamma_grid):
         dist = ensemble.FlatDistribution(gamma=gamma, u=cfg.u)
         seed = _derived_seed(cfg.master_seed, gi)
-        prof = ensemble.estimate_wavefunction_profile(
-            params, dist, cfg.realizations, seed, threads=cfg.threads
-        )
+        est = estimator(params, dist, cfg.realizations, seed, threads=cfg.threads)
         nu = ensemble.estimate_mean_nu(
             params, dist, max(cfg.realizations, 2), seed, threads=cfg.threads
         )
-        rows.append([gamma, nu.value, nu.stderr, *np.asarray(prof.value)])
+        yield gamma, est, nu
+
+
+def run_edge_modes(cfg: RunConfig) -> tuple[list[str], list[list]]:
+    """Averaged midgap weight per dimer along a disorder sweep (open chains)."""
+    rows = [
+        [gamma, nu.value, nu.stderr, *np.asarray(prof.value)]
+        for gamma, prof, nu in _with_mean_nu(cfg, ensemble.estimate_wavefunction_profile)
+    ]
     columns = ["gamma", "mean_nu", "nu_stderr"] + [
         f"psi2_{i + 1:03d}" for i in range(cfg.n)
     ]
@@ -348,18 +291,10 @@ def run_edge_modes(cfg: RunConfig) -> tuple[list[str], list[list]]:
 
 def run_gap_scan(cfg: RunConfig) -> tuple[list[str], list[list]]:
     """Averaged gap and index along a disorder sweep."""
-    params = cfg.chain_params()
-    rows = []
-    for gi, gamma in enumerate(cfg.gamma_grid):
-        dist = ensemble.FlatDistribution(gamma=gamma, u=cfg.u)
-        seed = _derived_seed(cfg.master_seed, gi)
-        gap = ensemble.estimate_mean_gap(
-            params, dist, cfg.realizations, seed, threads=cfg.threads
-        )
-        nu = ensemble.estimate_mean_nu(
-            params, dist, max(cfg.realizations, 2), seed, threads=cfg.threads
-        )
-        rows.append([gamma, gap.value, gap.stderr, nu.value])
+    rows = [
+        [gamma, gap.value, gap.stderr, nu.value]
+        for gamma, gap, nu in _with_mean_nu(cfg, ensemble.estimate_mean_gap)
+    ]
     return ["gamma", "mean_gap", "gap_stderr", "mc_mean_nu"], rows
 
 
@@ -419,6 +354,49 @@ def run_born(cfg: RunConfig) -> tuple[list[str], list[list]]:
 def _derived_seed(master_seed: int, stage: int) -> int:
     # keep per-gamma realization streams disjoint without overlapping indices
     return (master_seed * 1_000_003 + stage) & ((1 << 64) - 1)
+
+
+_EXPERIMENTS = {
+    # name: (runner, figure defaults); a w_grid default marks an experiment that needs one
+    "invariant": (run_invariant, dict(gamma_grid=tuple(np.linspace(0.0, 1.5, 16)))),
+    "mean-nu": (
+        run_mean_nu_curve,
+        dict(n=100, w=0.95, realizations=15000, gamma_grid=tuple(np.linspace(0.0, 1.5, 30))),
+    ),
+    "phase-diagram": (
+        run_phase_diagram,
+        dict(
+            n=300,
+            bc="periodic",
+            gamma_grid=tuple(np.linspace(0.0, 1.5, 16)),
+            w_grid=tuple(np.linspace(0.5, 1.1, 13)),
+        ),
+    ),
+    "edge-modes": (
+        run_edge_modes,
+        dict(n=100, w=0.95, realizations=100, gamma_grid=tuple(np.linspace(0.0, 1.8, 10))),
+    ),
+    "gap-scan": (
+        run_gap_scan,
+        dict(
+            n=300,
+            w=0.8,
+            bc="periodic",
+            realizations=100,
+            gamma_grid=tuple(np.linspace(0.0, 0.8, 17)),
+        ),
+    ),
+    "born": (
+        run_born,
+        dict(gamma_grid=tuple(np.linspace(0.05, 1.0, 20)), w_grid=(0.8, 0.9, 0.95, 0.99)),
+    ),
+}
+
+
+def default_config(experiment: str) -> RunConfig:
+    if experiment not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    return RunConfig(experiment=experiment, **_EXPERIMENTS[experiment][1])
 
 
 def run_selftest() -> int:
@@ -511,16 +489,6 @@ def run_selftest() -> int:
     return 0 if ok else 1
 
 
-_RUNNERS = {
-    "invariant": run_invariant,
-    "mean-nu": run_mean_nu_curve,
-    "phase-diagram": run_phase_diagram,
-    "edge-modes": run_edge_modes,
-    "gap-scan": run_gap_scan,
-    "born": run_born,
-}
-
-
 def run_experiment(cfg: RunConfig) -> Path:
     """Validate, run and persist one experiment; returns the data path."""
     cfg.validate()
@@ -529,7 +497,7 @@ def run_experiment(cfg: RunConfig) -> Path:
     start = time.perf_counter()
     # one process pool serves every pooled estimator call of the run
     with ensemble.worker_pool(cfg.threads) as pool:
-        columns, rows = _RUNNERS[cfg.experiment](cfg)
+        columns, rows = _EXPERIMENTS[cfg.experiment][0](cfg)
     return _write_outputs(cfg, columns, rows, time.perf_counter() - start, pool)
 
 
@@ -544,58 +512,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "gap scans, edge modes, Born self-energies).",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in _EXPERIMENTS:
+        # every flag but --config is a config key, kept as text for parse_config_entries
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        if name == "selftest":
-            continue
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, dest="master_seed", help="master RNG seed")
-        p.add_argument("--realizations", type=int, help="ensemble size")
+        p.add_argument("--seed", dest="master_seed", help="master RNG seed")
+        p.add_argument("--realizations", help="ensemble size")
         p.add_argument("--out", help="output data path")
-        p.add_argument("--format", choices=("csv", "json"), help="data format")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="worker threads (0 = auto); never affects numerical output",
-        )
-        p.add_argument("--n", type=int, help="dimer count")
-        p.add_argument("--u", type=float, help="mean intra-dimer coupling")
-        p.add_argument("--w", type=float, help="inter-dimer coupling")
-        p.add_argument("--bc", choices=("open", "periodic"), help="boundary condition")
-        p.add_argument("--gamma-grid", dest="gamma_grid", help="comma list or start:stop:count")
-        p.add_argument("--w-grid", dest="w_grid", help="comma list or start:stop:count")
+        p.add_argument("--format", help="data format: csv or json")
+        p.add_argument("--threads", help="worker threads (0 = auto); never changes the data")
+        p.add_argument("--n", help="dimer count")
+        p.add_argument("--u", help="mean intra-dimer coupling")
+        p.add_argument("--w", help="inter-dimer coupling")
+        p.add_argument("--bc", help="boundary condition: open or periodic")
+        p.add_argument("--gamma-grid", help="comma list or start:stop:count")
+        p.add_argument("--w-grid", help="comma list or start:stop:count")
+    sub.add_parser("selftest", help="run the internal consistency checks")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.experiment == "selftest":
+    flags = vars(_build_parser().parse_args(argv))
+    experiment = flags.pop("experiment")
+    if experiment == "selftest":
         return run_selftest()
     try:
-        overrides: dict = {}
-        if args.config:
-            overrides.update(load_config_file(args.config))
-        for key in (
-            "master_seed",
-            "realizations",
-            "out",
-            "format",
-            "threads",
-            "n",
-            "u",
-            "w",
-            "bc",
-        ):
-            val = getattr(args, key)
-            if val is not None:
-                overrides[key] = val
-        for key in ("gamma_grid", "w_grid"):
-            val = getattr(args, key)
-            if val is not None:
-                overrides[key] = _parse_grid(val)
-        overrides.pop("experiment", None)
-        cfg = replace(default_config(args.experiment), **overrides)
-        path = run_experiment(cfg)
+        config_file = flags.pop("config")
+        entries = load_config_file(config_file) if config_file else {}
+        named = entries.pop("experiment", experiment)
+        if named != experiment:
+            raise ValueError(f"{config_file} sets experiment = {named}, not {experiment}")
+        entries.update(parse_config_entries({k: v for k, v in flags.items() if v is not None}))
+        path = run_experiment(replace(default_config(experiment), **entries))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

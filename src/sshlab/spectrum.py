@@ -53,20 +53,12 @@ class SpectralResult:
 
     eigenvalues: np.ndarray
     gap: float
-    min_pair_indices: tuple[int, int]
 
     @classmethod
     def from_eigenvalues(cls, evals: np.ndarray) -> "SpectralResult":
         evals = np.sort(np.asarray(evals, dtype=float))
         evals.setflags(write=False)
-        j0 = int(np.argmin(np.abs(evals)))
-        gap = 2.0 * abs(evals[j0])
-        # chiral partner: the entry closest to -E_j0
-        partner = np.abs(evals + evals[j0])
-        partner[j0] = np.inf
-        j1 = int(np.argmin(partner))
-        lo, hi = (j0, j1) if evals[j0] <= evals[j1] else (j1, j0)
-        return cls(eigenvalues=evals, gap=gap, min_pair_indices=(lo, hi))
+        return cls(eigenvalues=evals, gap=2.0 * np.min(np.abs(evals)))
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,52 @@ def tiny(experiment, tmp_path, **overrides):
     return replace(default_config(experiment), **base)
 
 
+def _lin(start, stop, count):
+    return list(np.linspace(start, stop, count))
+
+
+# the figure defaults of each experiment, as embedded in its data header
+_DEFAULT_DATA = {
+    "invariant": dict(
+        experiment="invariant", n=100, u=1.0, w=0.95, bc="open",
+        gamma_grid=_lin(0.0, 1.5, 16), w_grid=[],
+        realizations=100, master_seed=1, m_phi=64, alpha=1e-6, format="csv",
+    ),
+    "mean-nu": dict(
+        experiment="mean-nu", n=100, u=1.0, w=0.95, bc="open",
+        gamma_grid=_lin(0.0, 1.5, 30), w_grid=[],
+        realizations=15000, master_seed=1, m_phi=64, alpha=1e-6, format="csv",
+    ),
+    "phase-diagram": dict(
+        experiment="phase-diagram", n=300, u=1.0, w=0.95, bc="periodic",
+        gamma_grid=_lin(0.0, 1.5, 16), w_grid=_lin(0.5, 1.1, 13),
+        realizations=100, master_seed=1, m_phi=64, alpha=1e-6, format="csv",
+    ),
+    "edge-modes": dict(
+        experiment="edge-modes", n=100, u=1.0, w=0.95, bc="open",
+        gamma_grid=_lin(0.0, 1.8, 10), w_grid=[],
+        realizations=100, master_seed=1, m_phi=64, alpha=1e-6, format="csv",
+    ),
+    "gap-scan": dict(
+        experiment="gap-scan", n=300, u=1.0, w=0.8, bc="periodic",
+        gamma_grid=_lin(0.0, 0.8, 17), w_grid=[],
+        realizations=100, master_seed=1, m_phi=64, alpha=1e-6, format="csv",
+    ),
+    "born": dict(
+        experiment="born", n=100, u=1.0, w=0.95, bc="open",
+        gamma_grid=_lin(0.05, 1.0, 20), w_grid=[0.8, 0.9, 0.95, 0.99],
+        realizations=100, master_seed=1, m_phi=64, alpha=1e-6, format="csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_DEFAULT_DATA))
+def test_default_config_data(experiment):
+    data = default_config(experiment).data_dict()
+    assert data == _DEFAULT_DATA[experiment]
+    assert list(data) == list(_DEFAULT_DATA[experiment])  # header key order
+
+
 class TestConfigParsing:
     def test_flat_file_roundtrip(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -63,6 +109,12 @@ class TestConfigParsing:
         cfg = RunConfig(experiment="mean-nu", gamma_grid=(0.5, 0.2))
         with pytest.raises(ValueError, match="strictly increasing"):
             cfg.validate()
+
+    def test_selftest_is_not_an_experiment(self):
+        with pytest.raises(ValueError, match="unknown experiment"):
+            default_config("selftest")
+        with pytest.raises(ValueError, match="unknown experiment"):
+            run_experiment(RunConfig(experiment="selftest", gamma_grid=(0.0,)))
 
     def test_comma_grid(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -283,6 +335,17 @@ class TestMainEntry:
         assert code == 0
         assert read_embedded_config(out).master_seed == 99
 
+    @pytest.mark.parametrize("named, code", [("gap-scan", 2), ("mean-nu", 0)])
+    def test_config_file_experiment_must_match(self, tmp_path, capsys, named, code):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"experiment = {named}\nn = 8\nrealizations = 4\ngamma_grid = 0.2\n")
+        out = tmp_path / "m.csv"
+        assert main(["mean-nu", "--config", str(cfg_file), "--out", str(out)]) == code
+        if code:
+            assert "error:" in capsys.readouterr().err and not out.exists()
+        else:
+            assert read_embedded_config(out).experiment == "mean-nu"
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         code = main(
             ["mean-nu", "--gamma-grid", "0.5,0.1", "--out", str(tmp_path / "x.csv")]
@@ -302,6 +365,20 @@ class TestMainEntry:
         code = main(argv + small + ["--out", str(tmp_path / "z.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_edge_modes_rejects_rings(self, tmp_path, capsys):
+        code = main(["edge-modes", "--bc", "periodic", "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "open boundaries" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--n", "abc"], ["--gamma-grid", "1:2"], ["--realizations", "1.5"]]
+    )
+    def test_malformed_flags_exit_code(self, tmp_path, capsys, flags):
+        code = main(["mean-nu", *flags, "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_reports_output_path(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

@@ -428,7 +428,6 @@ class TestSpectralResult:
     def test_gap_and_pair_indices(self):
         res = SpectralResult.from_eigenvalues(np.array([-2.0, -0.3, 0.3, 2.0]))
         assert res.gap == pytest.approx(0.6)
-        assert res.min_pair_indices == (1, 2)
 
     def test_eigenvalues_sorted(self):
         rng = np.random.default_rng(9)
