@@ -2,7 +2,9 @@
 
 __version__ = "0.1.0"
 
-from . import analytic, born, cli, ensemble, invariant, model, spectrum
+# cli is left to `import sshlab.cli` (or `python -m sshlab`), so that running
+# `python -m sshlab.cli` does not find it already imported
+from . import analytic, born, ensemble, invariant, model, spectrum
 
 __all__ = [
     "__version__",

@@ -2,9 +2,11 @@
 
 Cumulants of log|1 + eps/u| under the coupling-deviation density, the
 erf-smoothed average index, the critical surfaces, and the finite-size
-fluctuation estimates.  The error function is computed in-repo (Maclaurin
-series below 2.5, Legendre continued fraction above) so results do not
-depend on platform libm behaviour.
+fluctuation estimates.  For the flat density both cumulants z1 and z2 have
+closed forms, which every experiment uses; the quadratures work for any
+density and import scipy only when they run.  The error function is computed
+in-repo (Maclaurin series below 2.5, Legendre continued fraction above) so
+results do not depend on platform libm behaviour.
 """
 
 from __future__ import annotations
@@ -12,15 +14,12 @@ from __future__ import annotations
 import math
 import warnings
 
-from scipy.integrate import IntegrationWarning, quad
-
-from .ensemble import FlatDistribution
-
 __all__ = [
     "erf",
     "z1_quadrature",
     "z2_quadrature",
     "z1_flat_closed_form",
+    "z2_flat_closed_form",
     "mean_nu_analytic",
     "critical_w",
     "critical_gamma_weak",
@@ -99,6 +98,8 @@ def _density_pieces(dist) -> list[tuple[float, float]]:
 
 
 def _integrate(fn, pieces) -> float:
+    from scipy.integrate import IntegrationWarning, quad
+
     total = 0.0
     err = 0.0
     for a, b in pieces:
@@ -181,8 +182,52 @@ def z1_flat_closed_form(gamma: float, u: float) -> float:
     )
 
 
-def _flat_z2(gamma: float, u: float) -> float:
-    return z2_quadrature(FlatDistribution(gamma=gamma, u=abs(u)))
+def z2_flat_closed_form(gamma: float, u: float) -> float:
+    """Explicit z2 for the flat deviation density of half-width sqrt(3)*gamma.
+
+    With s = eps/u uniform on [-a, a], a = sqrt3 gamma/|u|: below a = 1/2 the
+    even power series of E[log(1+s)] and E[log^2(1+s)] (the k-th coefficient
+    of log^2(1+s) is (-1)^k 2 H_(k-1)/k), which keeps full relative accuracy
+    as gamma -> 0; above it the antiderivative x (t^2 - 2t + 2) of t^2,
+    t = log|x| - z1, between x = 1 - a and 1 + a (zero at x = 0).
+    """
+    if gamma <= 0.0:
+        raise ValueError("closed form requires gamma > 0")
+    if u == 0.0:
+        raise ValueError("u must be nonzero")
+    a = math.sqrt(3.0) * gamma / abs(u)
+    if a < 0.5:
+        a2 = a * a
+        power = 1.0
+        harmonic = 1.0  # H_(k-1) at k = 2
+        first = second = 0.0
+        k = 2
+        while True:
+            power *= a2
+            term = power / (k * (k + 1))
+            first -= term
+            square_term = 2.0 * harmonic * term
+            second += square_term
+            if square_term <= 1e-17 * second:
+                return second - first * first
+            harmonic += 1.0 / k + 1.0 / (k + 1)
+            k += 2
+    lo, hi = 1.0 - a, 1.0 + a
+    # z1 in a form without z1_flat_closed_form's removable singularity at
+    # a = 1; an error d in it moves E[(log|x| - z1)^2] by d^2 only
+    z1 = (_x_log_abs(hi) - _x_log_abs(lo)) / (2.0 * a) - 1.0
+
+    def antiderivative(x: float) -> float:
+        if x == 0.0:
+            return 0.0
+        t = math.log(abs(x)) - z1
+        return x * (t * t - 2.0 * t + 2.0)
+
+    return (antiderivative(hi) - antiderivative(lo)) / (2.0 * a)
+
+
+def _x_log_abs(x: float) -> float:
+    return 0.0 if x == 0.0 else x * math.log(abs(x))
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +252,7 @@ def mean_nu_analytic(n: int, u: float, w: float, gamma: float) -> float:
             raise ValueError("critical, undefined: |u| = |w| at zero disorder")
         return 1.0 if aw > au else 0.0
     z1 = z1_flat_closed_form(gamma, au)
-    z2 = _flat_z2(gamma, au)
+    z2 = z2_flat_closed_form(gamma, au)
     shift = math.log(au / aw) + z1
     if z2 == 0.0:
         if shift == 0.0:

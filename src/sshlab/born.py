@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "BornParams",
@@ -126,6 +125,8 @@ def _bz_average(numerator, p: BornParams) -> complex:
     The integrand is even in k, so twice the [0, pi] integral is taken over
     segments refined around the Lorentzian peaks.
     """
+    from scipy.integrate import quad
+
     z = p.omega + 1j * p.alpha
 
     def integrand(k: float) -> complex:

@@ -438,6 +438,14 @@ def run_selftest() -> int:
     lp, sp, lq, sq = h.log_terms()
     rebuilt = sp * np.exp(lp) + sq * np.exp(lq) * np.exp(1j * h.phi)
     checks.append(("determinant routes", abs(h.determinant() - rebuilt) < 1e-12))
+    z2_gap = max(
+        abs(
+            analytic.z2_flat_closed_form(g, 1.0)
+            - analytic.z2_quadrature(ensemble.FlatDistribution(g, 1.0))
+        )
+        for g in (0.3, 1.0)
+    )
+    checks.append(("z2 routes", z2_gap < 1e-12))
     rng = np.random.default_rng(5)
     real = model.Realization(couplings=rng.uniform(0.5, 1.5, 8))
     m = model.build_chain(model.ChainParams(n=8, u=1.0, w=0.8), real)

@@ -16,9 +16,23 @@ from sshlab.analytic import (
     variance_nu,
     z1_flat_closed_form,
     z1_quadrature,
+    z2_flat_closed_form,
     z2_quadrature,
 )
+from sshlab.cli import default_config
 from sshlab.ensemble import FlatDistribution
+
+
+def z2_mpmath(gamma, u):
+    """Variance of log|1 + s|, s uniform on [-a, a], to 50 digits.
+
+    a = h/|u| for the half-width h = sqrt(3)*gamma of FlatDistribution, a double.
+    """
+    mpmath.mp.dps = 50
+    a = mpmath.mpf(FlatDistribution(gamma=gamma, u=abs(u)).halfwidth) / abs(mpmath.mpf(u))
+    pieces = [-a, a] if a <= 1 else [-a, -1, a]
+    z1 = mpmath.quad(lambda s: mpmath.log(abs(1 + s)), pieces) / (2 * a)
+    return mpmath.quad(lambda s: (mpmath.log(abs(1 + s)) - z1) ** 2, pieces) / (2 * a)
 
 
 class TestErf:
@@ -102,6 +116,47 @@ class TestZ2:
     def test_nonnegative(self):
         for gamma in (0.05, 0.3, 0.57, 0.9, 1.7):
             assert z2_quadrature(FlatDistribution(gamma=gamma, u=1.0)) >= 0.0
+
+
+_SWITCH_GAMMA = 0.5 / math.sqrt(3.0)  # a = sqrt3 gamma/|u| = 1/2 at u = 1
+_TOUCH_GAMMA = 1.0 / math.sqrt(3.0)  # with u = sqrt3 * gamma the support ends at c = 0
+
+
+class TestZ2ClosedForm:
+    @pytest.mark.parametrize(
+        "gamma, u",
+        [
+            (gamma, u)
+            for u in (1.0, 1.7, -1.0)
+            for gamma in (1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.6, 1.0, 1.5, 2.0)
+        ]
+        + [(_SWITCH_GAMMA * (1.0 + d), 1.0) for d in (-1e-12, 0.0, 1e-12)]
+        + [(_TOUCH_GAMMA, math.sqrt(3.0) * _TOUCH_GAMMA)],
+    )
+    def test_matches_mpmath(self, gamma, u):
+        expected = z2_mpmath(gamma, u)
+        assert abs(z2_flat_closed_form(gamma, u) - expected) <= 1e-13 * expected
+
+    def test_matches_quadrature_on_the_c05_grid(self):
+        for gamma in np.linspace(0.05, 2.0, 79):
+            quad_val = z2_quadrature(FlatDistribution(gamma=float(gamma), u=1.0))
+            assert abs(z2_flat_closed_form(float(gamma), 1.0) - quad_val) <= 1e-12
+
+    @pytest.mark.parametrize("gamma, u", [(0.0, 1.0), (-0.1, 1.0), (0.3, 0.0)])
+    def test_rejects_invalid_arguments(self, gamma, u):
+        with pytest.raises(ValueError):
+            z2_flat_closed_form(gamma, u)
+
+    def test_mean_nu_on_the_cli_grid_matches_quadrature_route(self):
+        cfg = default_config("mean-nu")
+        for gamma in cfg.gamma_grid:
+            if gamma == 0.0:
+                continue  # the exact step, no z2
+            z1 = z1_flat_closed_form(gamma, cfg.u)
+            z2 = z2_quadrature(FlatDistribution(gamma=gamma, u=cfg.u))
+            shift = math.log(cfg.u / cfg.w) + z1
+            expected = 0.5 * (1.0 - erf(math.sqrt(cfg.n) * shift / math.sqrt(2.0 * z2)))
+            assert abs(mean_nu_analytic(cfg.n, cfg.u, cfg.w, gamma) - expected) <= 1e-13
 
 
 class TestMeanNu:

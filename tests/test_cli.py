@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sshlab
 from sshlab.cli import (
     RunConfig,
     default_config,
@@ -36,6 +42,16 @@ def tiny(experiment, tmp_path, **overrides):
 
 def _lin(start, stop, count):
     return list(np.linspace(start, stop, count))
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter that imports this checkout's sshlab."""
+    env = dict(os.environ)
+    src = str(Path(sshlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 # the figure defaults of each experiment, as embedded in its data header
@@ -314,6 +330,43 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
         assert "ok  block index" in out
+        assert "ok  z2 routes" in out
+
+    @pytest.mark.parametrize("module", ["sshlab.cli", "sshlab"])
+    def test_run_as_module_without_runpy_warning(self, tmp_path, module):
+        out = tmp_path / "inv.csv"
+        argv = ["invariant", "--gamma-grid", "0:0.5:2", "--out", str(out)]
+        proc = run_python(["-m", module, *argv], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout.strip() == str(out)
+        assert len(data_section(out).splitlines()) == 2
+
+    def test_only_born_imports_scipy(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import sys
+            from dataclasses import replace
+            from sshlab import born, cli
+
+            def scipy_loaded():
+                return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+            tiny = dict(n=8, realizations=4, gamma_grid=(0.1, 0.4), threads=1)
+            for name in ("mean-nu", "gap-scan", "edge-modes", "phase-diagram", "invariant"):
+                cfg = replace(cli.default_config(name), out=name + ".csv", **tiny)
+                if cfg.w_grid:
+                    cfg = replace(cfg, w_grid=(0.8, 1.1))
+                cli.run_experiment(cfg)
+                assert not scipy_loaded(), (name, scipy_loaded())
+            born.f_quadrature(born.BornParams(u=1.0, w=0.9, gamma=0.1))
+            assert "scipy.integrate" in sys.modules
+            print("ok")
+            """
+        )
+        proc = run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
     def test_cli_overrides_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
