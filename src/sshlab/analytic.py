@@ -158,9 +158,38 @@ def z2_quadrature(dist) -> float:
     return second - z1 * z1
 
 
+def _flat_log_series(a: float) -> tuple[float, float]:
+    """E[log(1+s)] and E[log^2(1+s)] for s uniform on [-a, a], 0 < a < 1/2.
+
+    Even power series: E[s^k] = a^k/(k+1), and the k-th coefficients of
+    log(1+s) and log^2(1+s) are (-1)^(k+1)/k and (-1)^k 2 H_(k-1)/k.  The
+    terms of each sum share one sign, so both keep full relative accuracy
+    as a -> 0.
+    """
+    a2 = a * a
+    power = 1.0
+    harmonic = 1.0  # H_(k-1) at k = 2
+    first = second = 0.0
+    k = 2
+    while True:
+        power *= a2
+        term = power / (k * (k + 1))
+        first -= term
+        square_term = 2.0 * harmonic * term
+        second += square_term
+        # square_term/second bounds term/|first| from above
+        if square_term <= 1e-17 * second:
+            return first, second
+        harmonic += 1.0 / k + 1.0 / (k + 1)
+        k += 2
+
+
 def z1_flat_closed_form(gamma: float, u: float) -> float:
     """Explicit z1 for the flat deviation density of half-width sqrt(3)*gamma.
 
+    With a = sqrt3 gamma/|u|: below a = 1/2 the even power series
+    (`_flat_log_series`), which keeps full relative accuracy as gamma -> 0;
+    from a = 1/2 on
     -1 + u/(2 sqrt3 gamma) * log((u + sqrt3 gamma)/|u - sqrt3 gamma|)
        + log|1 - 3 gamma^2/u^2| / 2,
     with the removable singularity at sqrt3 gamma = u evaluated by its
@@ -172,6 +201,9 @@ def z1_flat_closed_form(gamma: float, u: float) -> float:
         raise ValueError("u must be nonzero")
     au = abs(u)
     r3 = math.sqrt(3.0) * gamma
+    a = r3 / au
+    if a < 0.5:
+        return _flat_log_series(a)[0]
     if r3 == au:
         warnings.warn("sqrt(3)*gamma = |u| exactly; returning the limit value")
         return math.log(2.0) - 1.0
@@ -186,10 +218,10 @@ def z2_flat_closed_form(gamma: float, u: float) -> float:
     """Explicit z2 for the flat deviation density of half-width sqrt(3)*gamma.
 
     With s = eps/u uniform on [-a, a], a = sqrt3 gamma/|u|: below a = 1/2 the
-    even power series of E[log(1+s)] and E[log^2(1+s)] (the k-th coefficient
-    of log^2(1+s) is (-1)^k 2 H_(k-1)/k), which keeps full relative accuracy
-    as gamma -> 0; above it the antiderivative x (t^2 - 2t + 2) of t^2,
-    t = log|x| - z1, between x = 1 - a and 1 + a (zero at x = 0).
+    even power series of E[log(1+s)] and E[log^2(1+s)] (`_flat_log_series`),
+    which keeps full relative accuracy as gamma -> 0; above it the
+    antiderivative x (t^2 - 2t + 2) of t^2, t = log|x| - z1, between
+    x = 1 - a and 1 + a (zero at x = 0).
     """
     if gamma <= 0.0:
         raise ValueError("closed form requires gamma > 0")
@@ -197,21 +229,8 @@ def z2_flat_closed_form(gamma: float, u: float) -> float:
         raise ValueError("u must be nonzero")
     a = math.sqrt(3.0) * gamma / abs(u)
     if a < 0.5:
-        a2 = a * a
-        power = 1.0
-        harmonic = 1.0  # H_(k-1) at k = 2
-        first = second = 0.0
-        k = 2
-        while True:
-            power *= a2
-            term = power / (k * (k + 1))
-            first -= term
-            square_term = 2.0 * harmonic * term
-            second += square_term
-            if square_term <= 1e-17 * second:
-                return second - first * first
-            harmonic += 1.0 / k + 1.0 / (k + 1)
-            k += 2
+        first, second = _flat_log_series(a)
+        return second - first * first
     lo, hi = 1.0 - a, 1.0 + a
     # z1 in a form without z1_flat_closed_form's removable singularity at
     # a = 1; an error d in it moves E[(log|x| - z1)^2] by d^2 only

@@ -180,6 +180,7 @@ def _write_outputs(cfg: RunConfig, columns, rows, wall_time: float, pool) -> Pat
         "config": cfg.data_dict(),
         "out": str(out),
         "pool_started": pool.executor is not None,
+        "sweeps": pool.sweeps,
         "threads": cfg.threads,
         "version": f"sshlab {__version__}",
         "wall_time_s": wall_time,
@@ -222,26 +223,25 @@ def run_invariant(cfg: RunConfig) -> tuple[list[str], list[list]]:
 
 
 def run_mean_nu_curve(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    """Monte Carlo <nu>(gamma) next to the analytic curve."""
-    params = cfg.chain_params()
+    """Monte Carlo <nu>(gamma) next to the analytic curve; one sweep maps the grid."""
+    points = _sweep_points(cfg)
+    estimates = ensemble.sweep_mean_nu(
+        cfg.chain_params(), points, cfg.realizations, threads=cfg.threads
+    )
     rows = []
-    for gi, gamma in enumerate(cfg.gamma_grid):
-        dist = ensemble.FlatDistribution(gamma=gamma, u=cfg.u)
-        est = ensemble.estimate_mean_nu(
-            params,
-            dist,
-            cfg.realizations,
-            _derived_seed(cfg.master_seed, gi),
-            threads=cfg.threads,
-        )
+    for gamma, est in zip(cfg.gamma_grid, estimates):
         an = analytic.mean_nu_analytic(cfg.n, cfg.u, cfg.w, gamma)
         rows.append([gamma, est.value, est.stderr, an, est.n_excluded])
     return ["gamma", "mc_mean_nu", "mc_stderr", "analytic_mean_nu", "n_excluded"], rows
 
 
 def run_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    """Gap and index of one fixed-seed realization per (gamma, w) grid point."""
-    rows = []
+    """Gap and index of one fixed-seed realization per (gamma, w) grid point.
+
+    The grid's rings take their gaps from one batched level call
+    (`spectrum.chain_gaps`).
+    """
+    grid, chains = [], []
     for gi, gamma in enumerate(cfg.gamma_grid):
         dist = ensemble.FlatDistribution(gamma=gamma, u=cfg.u)
         w0 = analytic.critical_w(cfg.u, gamma)
@@ -251,37 +251,46 @@ def run_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
             index = gi * len(cfg.w_grid) + wi
             real = ensemble.sample_realization(dist, cfg.n, cfg.master_seed, index)
             params = replace(cfg.chain_params(), w=w)
-            chain = model.build_chain(params, real)
-            gap = spectrum.chain_gap(chain)
-            try:
-                nu = invariant.winding_closed_form(real, params)
-            except invariant.CriticalRealizationError:
-                nu = math.nan  # grid point sits exactly on the boundary
-            # a gap the kernels cannot tell from zero is written as zero
-            resolved = gap > spectrum.gap_resolution(chain)
-            log_gap = math.log(gap / (2.0 * abs(cfg.u))) if resolved else -math.inf
-            rows.append([gamma, w, log_gap, nu, w0, w0_weak])
+            grid.append((gamma, w, real, params, w0, w0_weak))
+            chains.append(model.build_chain(params, real))
+    rows = []
+    for point, chain, gap in zip(grid, chains, spectrum.chain_gaps(chains)):
+        gamma, w, real, params, w0, w0_weak = point
+        try:
+            nu = invariant.winding_closed_form(real, params)
+        except invariant.CriticalRealizationError:
+            nu = math.nan  # grid point sits exactly on the boundary
+        # a gap the kernels cannot tell from zero is written as zero
+        resolved = gap > spectrum.gap_resolution(chain)
+        log_gap = math.log(gap / (2.0 * abs(cfg.u))) if resolved else -math.inf
+        rows.append([gamma, w, log_gap, nu, w0, w0_weak])
     return ["gamma", "w", "log_gap_ratio", "nu", "w0_analytic", "w0_weak"], rows
 
 
-def _with_mean_nu(cfg: RunConfig, estimator):
-    """(gamma, estimate, <nu>) per gamma on the same realizations; <nu> uses >= 2 for a stderr."""
-    params = cfg.chain_params()
-    for gi, gamma in enumerate(cfg.gamma_grid):
-        dist = ensemble.FlatDistribution(gamma=gamma, u=cfg.u)
-        seed = _derived_seed(cfg.master_seed, gi)
-        est = estimator(params, dist, cfg.realizations, seed, threads=cfg.threads)
-        nu = ensemble.estimate_mean_nu(
-            params, dist, max(cfg.realizations, 2), seed, threads=cfg.threads
-        )
-        yield gamma, est, nu
+def _sweep_points(cfg: RunConfig) -> list:
+    """(distribution, derived seed) of each gamma point, as the ensemble sweeps take them."""
+    return [
+        (ensemble.FlatDistribution(gamma=gamma, u=cfg.u), _derived_seed(cfg.master_seed, gi))
+        for gi, gamma in enumerate(cfg.gamma_grid)
+    ]
+
+
+def _with_mean_nu(cfg: RunConfig, sweep):
+    """(gamma, estimate, <nu>) per gamma on the same realizations; <nu> uses >= 2 for a stderr.
+
+    One sweep call maps the whole gamma grid for each of the two quantities.
+    """
+    params, points = cfg.chain_params(), _sweep_points(cfg)
+    estimates = sweep(params, points, cfg.realizations, threads=cfg.threads)
+    nus = ensemble.sweep_mean_nu(params, points, max(cfg.realizations, 2), threads=cfg.threads)
+    return zip(cfg.gamma_grid, estimates, nus)
 
 
 def run_edge_modes(cfg: RunConfig) -> tuple[list[str], list[list]]:
     """Averaged midgap weight per dimer along a disorder sweep (open chains)."""
     rows = [
         [gamma, nu.value, nu.stderr, *np.asarray(prof.value)]
-        for gamma, prof, nu in _with_mean_nu(cfg, ensemble.estimate_wavefunction_profile)
+        for gamma, prof, nu in _with_mean_nu(cfg, ensemble.sweep_wavefunction_profile)
     ]
     columns = ["gamma", "mean_nu", "nu_stderr"] + [
         f"psi2_{i + 1:03d}" for i in range(cfg.n)
@@ -293,7 +302,7 @@ def run_gap_scan(cfg: RunConfig) -> tuple[list[str], list[list]]:
     """Averaged gap and index along a disorder sweep."""
     rows = [
         [gamma, gap.value, gap.stderr, nu.value]
-        for gamma, gap, nu in _with_mean_nu(cfg, ensemble.estimate_mean_gap)
+        for gamma, gap, nu in _with_mean_nu(cfg, ensemble.sweep_mean_gap)
     ]
     return ["gamma", "mean_gap", "gap_stderr", "mc_mean_nu"], rows
 
@@ -422,11 +431,21 @@ def run_selftest() -> int:
         )
     )
     p_mc, dist = model.ChainParams(n=10, u=1.0, w=1.0), ensemble.FlatDistribution(0.4, 1.0)
-    acc, _ = ensemble._log_ratio_block(p_mc, dist, 7, range(8))
+    (block,) = ensemble._sweep_blocks([(dist, 7)], 8, 8)
+    acc, _ = ensemble._log_ratio_block(p_mc, block)
     block_nu = invariant.index_from_log_xi(invariant.log_xi_offset(p_mc) + acc)
     rows = [ensemble.sample_realization(dist, 10, 7, i) for i in range(8)]
     row_nu = [invariant.winding_closed_form(real, p_mc) for real in rows]
     checks.append(("block index", np.array_equal(block_nu, row_nu)))
+    # one block across two gamma points gives each point's rows bit for bit
+    points = [(ensemble.FlatDistribution(0.3, 1.0), 3), (ensemble.FlatDistribution(1.2, 1.0), 4)]
+    (mixed,) = ensemble._sweep_blocks(points, 3, 6)
+    same = True
+    for bc, worker in (("open", ensemble._profile_block), ("periodic", ensemble._gap_block)):
+        p_sw = model.ChainParams(n=6, u=1.0, w=0.9, bc=model.BoundaryCondition(bc))
+        alone = [worker(p_sw, ensemble._sweep_blocks([pt], 3, 3)[0])[0] for pt in points]
+        same = same and np.array_equal(worker(p_sw, mixed)[0], np.concatenate(alone))
+    checks.append(("sweep block", same))
     checks.append(
         (
             "clean zak",

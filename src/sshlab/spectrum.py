@@ -11,7 +11,8 @@ its levels are the singular values +/-sigma of the n x n block Q.  Rings
 reach their gap through a Householder bidiagonalization of Q, whose
 Golub-Kahan tridiagonal is a zero-diagonal open chain with the same levels;
 the central-level kernel bisects it.  `chain_gap` is the one gap dispatch
-for every chain matrix, and `gap_resolution` the smallest gap it resolves.
+for every chain matrix, `chain_gaps` the same for a stack of chains in one
+kernel call, and `gap_resolution` the smallest gap they resolve.
 An open chain is bipartite too, with a lower-bidiagonal block B, and its
 midgap pair (a, +/-b)/sqrt(2) comes from B's smallest singular pair (a, b).
 """
@@ -30,6 +31,7 @@ __all__ = [
     "ConvergenceError",
     "SpectralResult",
     "chain_gap",
+    "chain_gaps",
     "eigenvalues_tridiagonal",
     "eigenvalues_dense",
     "eigenvector_near_zero",
@@ -451,12 +453,21 @@ def ring_levels(m: ChainMatrix) -> np.ndarray:
     """Levels N/2-2 .. N/2+1 of an even ring of N >= 4 sites: -s2, -s1, s1, s2.
 
     s1 <= s2 are the two smallest singular values of the sublattice block Q,
-    read from the Golub-Kahan chain [d0, e0, d1, ..., d_{n-1}] of its
-    bidiagonal form by `midgap_levels`.  Neither the 2n x 2n matrix nor an
-    inertia count through the ring corner is formed.
+    read from the Golub-Kahan chain of its bidiagonal form
+    (`_golub_kahan_chain`) by `midgap_levels`.  Neither the 2n x 2n matrix
+    nor an inertia count through the ring corner is formed.
     """
     if m.is_tridiagonal or m.size % 2 or m.size < 4:
         raise ValueError("ring levels need a ring with an even number (>= 4) of sites")
+    return midgap_levels(_golub_kahan_chain(m))[0]
+
+
+def _golub_kahan_chain(m: ChainMatrix) -> np.ndarray:
+    """Couplings [d0, e0, d1, ..., d_{n-1}] of an even ring's Golub-Kahan chain.
+
+    (d, e) is the bidiagonal form of the ring's sublattice block Q, so the
+    zero-diagonal open chain with these couplings has the ring's levels.
+    """
     n = m.size // 2
     q = np.zeros((n, n))
     i = np.arange(n)
@@ -468,7 +479,7 @@ def ring_levels(m: ChainMatrix) -> np.ndarray:
     couplings = np.empty(2 * n - 1)
     couplings[0::2] = d
     couplings[1::2] = e
-    return midgap_levels(couplings)[0]
+    return couplings
 
 
 def _midgap_spectrum(m: ChainMatrix) -> SpectralResult:
@@ -489,6 +500,22 @@ def _midgap_spectrum(m: ChainMatrix) -> SpectralResult:
 def chain_gap(m: ChainMatrix) -> float:
     """Spectral gap 2*min|E| of an open chain or a ring."""
     return _midgap_spectrum(m).gap
+
+
+def chain_gaps(chains) -> np.ndarray:
+    """`chain_gap` of each chain in a list, from one `midgap_levels` call.
+
+    Open chains bring their own couplings and even rings their Golub-Kahan
+    chains; the kernel's rows are independent, so each gap is bit-identical
+    to `chain_gap` of that chain alone.  Unless every chain has the same
+    even size N >= 4, the chains take `chain_gap` one by one.
+    """
+    chains = list(chains)
+    size = chains[0].size if chains else 0
+    if size < 4 or size % 2 or any(m.size != size for m in chains):
+        return np.array([chain_gap(m) for m in chains])
+    couplings = [m.offdiag if m.is_tridiagonal else _golub_kahan_chain(m) for m in chains]
+    return 2.0 * np.min(np.abs(midgap_levels(np.array(couplings))), axis=1)
 
 
 def gap_resolution(m: ChainMatrix) -> float:

@@ -23,6 +23,14 @@ from sshlab.cli import default_config
 from sshlab.ensemble import FlatDistribution
 
 
+def z1_mpmath(gamma, u):
+    """Mean of log|1 + s|, s uniform on [-a, a], to 50 digits (a as in z2_mpmath)."""
+    mpmath.mp.dps = 50
+    a = mpmath.mpf(FlatDistribution(gamma=gamma, u=abs(u)).halfwidth) / abs(mpmath.mpf(u))
+    pieces = [-a, a] if a <= 1 else [-a, -1, a]
+    return mpmath.quad(lambda s: mpmath.log(abs(1 + s)), pieces) / (2 * a)
+
+
 def z2_mpmath(gamma, u):
     """Variance of log|1 + s|, s uniform on [-a, a], to 50 digits.
 
@@ -120,6 +128,25 @@ class TestZ2:
 
 _SWITCH_GAMMA = 0.5 / math.sqrt(3.0)  # a = sqrt3 gamma/|u| = 1/2 at u = 1
 _TOUCH_GAMMA = 1.0 / math.sqrt(3.0)  # with u = sqrt3 * gamma the support ends at c = 0
+
+
+class TestZ1ClosedForm:
+    @pytest.mark.parametrize(
+        "gamma, u",
+        [
+            (gamma, u)
+            for u in (1.0, 1.7, -1.0)
+            for gamma in (1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.6, 1.0, 1.5, 2.0)
+        ]
+        + [(_SWITCH_GAMMA * (1.0 + d), 1.0) for d in (-1e-12, 0.0, 1e-12)],
+    )
+    def test_matches_mpmath(self, gamma, u):
+        expected = z1_mpmath(gamma, u)
+        assert abs(z1_flat_closed_form(gamma, u) - expected) <= 1e-13 * abs(expected)
+
+    def test_sign_at_tiny_disorder(self):
+        # z1 = -gamma^2/(2u^2) to leading order: negative however small gamma is
+        assert z1_flat_closed_form(1e-6, 1.0) == pytest.approx(-5e-13, rel=1e-9)
 
 
 class TestZ2ClosedForm:

@@ -304,6 +304,25 @@ class TestRunners:
         )
         assert replay.read_bytes() == paths[1].read_bytes()
 
+    def test_sidecar_records_sweeps(self, tmp_path):
+        from dataclasses import replace
+
+        cfg = tiny("gap-scan", tmp_path, n=10, realizations=6)
+        metas = {}
+        for t in (1, 2):
+            path = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
+            metas[t] = json.loads(path.with_suffix(".csv.meta.json").read_text())
+            assert "sweeps" not in path.read_text()
+        # 2 gamma x 6 rings in blocks of 4, and the 12 index rows in one block
+        assert metas[2]["sweeps"] == [
+            {"quantity": "mean_gap", "blocks": 3, "pooled": True},
+            {"quantity": "mean_nu", "blocks": 1, "pooled": False},
+        ]
+        assert [s["pooled"] for s in metas[1]["sweeps"]] == [False, False]
+        em = run_experiment(tiny("edge-modes", tmp_path, n=10, realizations=4, threads=2))
+        sweeps = json.loads(em.with_suffix(".csv.meta.json").read_text())["sweeps"]
+        assert [(s["blocks"], s["pooled"]) for s in sweeps] == [(1, False), (1, False)]
+
     def test_born_runs(self, tmp_path):
         cfg = tiny(
             "born",

@@ -15,6 +15,9 @@ from sshlab.ensemble import (
     estimate_mean_nu,
     estimate_wavefunction_profile,
     sample_realization,
+    sweep_mean_gap,
+    sweep_mean_nu,
+    sweep_wavefunction_profile,
 )
 from sshlab.invariant import CriticalRealizationError, winding_closed_form
 from sshlab.model import (
@@ -38,8 +41,8 @@ class SnappedDistribution(FlatDistribution):
     quarter sit exactly on the boundary (log xi = 0).
     """
 
-    def sample(self, rng, n):
-        x = super().sample(rng, n)
+    def couplings(self, uniforms):
+        x = super().couplings(uniforms)
         lo, hi = self.coupling_support
         quarter = 0.25 * (hi - lo)
         return np.where(x < lo + quarter, 0.0, np.where(x < hi - quarter, self.u, x))
@@ -347,12 +350,13 @@ class TestWorkerPool:
                 assert ensemble._run_pools[-1].executor is None
 
     def test_rings_pool_one_per_task(self):
-        # four rings spread over two workers: the gap estimator keeps pooling
+        # two ring blocks spread over two workers: the gap estimator keeps pooling
         params = ChainParams(n=6, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
         dist = FlatDistribution(0.3, 1.0)
-        serial = estimate_mean_gap(params, dist, 4, 5, threads=1)
+        r = 2 * ensemble._GAP_BLOCK
+        serial = estimate_mean_gap(params, dist, r, 5, threads=1)
         with ensemble.worker_pool(2):
-            pooled = estimate_mean_gap(params, dist, 4, 5, threads=2)
+            pooled = estimate_mean_gap(params, dist, r, 5, threads=2)
             assert ensemble._run_pools[-1].executor is not None
         assert pooled.value == serial.value and pooled.stderr == serial.stderr
 
@@ -380,6 +384,110 @@ class TestMeanGap:
 
         direct = eigenvalues_tridiagonal(build_chain(params, real)).gap
         assert direct > 0.0 and est.value > 0.0
+
+
+def assert_same_estimate(a, b):
+    assert (a.quantity, a.n_realizations, a.master_seed) == (b.quantity, b.n_realizations, b.master_seed)
+    assert (a.n_excluded, a.n_resampled) == (b.n_excluded, b.n_resampled)
+    assert np.asarray(a.value).tobytes() == np.asarray(b.value).tobytes()
+    assert np.asarray(a.stderr).tobytes() == np.asarray(b.stderr).tobytes()
+
+
+class TestSweep:
+    """A sweep equals its points' one-point estimates, whatever the blocks and workers.
+
+    r is no multiple of the block size, so blocks cross from one point into
+    the next.
+    """
+
+    @pytest.mark.parametrize(
+        "sweep, one_point, params, points, r",
+        [
+            (
+                sweep_mean_nu,
+                estimate_mean_nu,
+                ChainParams(n=2, u=1.0, w=1.0),
+                [(FlatDistribution(0.6, 1.0), 11), (SnappedDistribution(0.5, 1.0), 12),
+                 (FlatDistribution(1.2, 1.0), 13)],
+                ensemble._INDEX_BLOCK // 2 + 7,
+            ),
+            (
+                sweep_wavefunction_profile,
+                estimate_wavefunction_profile,
+                ChainParams(n=8, u=1.0, w=0.95),
+                [(FlatDistribution(g, 1.0), 20 + k) for k, g in enumerate((0.0, 0.4, 1.5))],
+                ensemble._PROFILE_BLOCK // 2 + 3,
+            ),
+            (
+                sweep_mean_gap,
+                estimate_mean_gap,
+                ChainParams(n=6, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC),
+                [(FlatDistribution(g, 1.0), 30 + k) for k, g in enumerate((0.0, 0.3, 0.7))],
+                ensemble._GAP_BLOCK + 1,
+            ),
+        ],
+    )
+    def test_matches_one_point_estimates(self, sweep, one_point, params, points, r):
+        blocks = ensemble._sweep_blocks(points, r, {
+            sweep_mean_nu: ensemble._INDEX_BLOCK,
+            sweep_wavefunction_profile: ensemble._PROFILE_BLOCK,
+            sweep_mean_gap: ensemble._GAP_BLOCK,
+        }[sweep])
+        assert any(len(b) > 1 for b in blocks) and len(blocks) > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            alone = [one_point(params, dist, r, seed, threads=1) for dist, seed in points]
+            for t in (1, 2, 0):
+                swept = sweep(params, points, r, threads=t)
+                assert len(swept) == len(points)
+                for a, b in zip(swept, alone):
+                    assert_same_estimate(a, b)
+
+    def test_blocks_cover_rows_in_order(self):
+        points = [(FlatDistribution(0.1 * p, 1.0), p) for p in range(3)]
+        for r, block in ((5, 4), (4, 4), (7, 3), (2, 500)):
+            rows = [
+                (s.master_seed, i)
+                for b in ensemble._sweep_blocks(points, r, block)
+                for s in b
+                for i in s.indices
+            ]
+            assert rows == [(p, i) for p in range(3) for i in range(r)]
+            sizes = [sum(len(s.indices) for s in b) for b in ensemble._sweep_blocks(points, r, block)]
+            assert all(size == block for size in sizes[:-1]) and 0 < sizes[-1] <= block
+
+    def test_error_paths_fire_per_point(self):
+        good = (FlatDistribution(0.4, 1.0), 1)
+        with pytest.raises(ValueError, match="u must be nonzero"):
+            sweep_mean_nu(ChainParams(n=10, u=0.0, w=0.9), [(FlatDistribution(0.1, 0.0), 1)] * 2, 10)
+        with pytest.raises(ValueError, match="w must be nonzero"):
+            sweep_mean_nu(ChainParams(n=10, u=1.0, w=0.0), [good, good], 10)
+        with pytest.raises(ValueError, match="at least 2"):
+            sweep_mean_nu(ChainParams(n=10, u=1.0, w=0.9), [good, good], 1)
+        with pytest.raises(ValueError, match="at least one point"):
+            sweep_mean_gap(ChainParams(n=10, u=1.0, w=0.9), [], 3)
+        with pytest.raises(ValueError, match="does not match"):
+            sweep_mean_gap(ChainParams(n=10, u=1.0, w=0.9), [good, (FlatDistribution(0.4, 2.0), 2)], 3)
+        with pytest.raises(ValueError, match="open boundaries"):
+            sweep_wavefunction_profile(
+                ChainParams(n=10, u=1.0, w=0.9, bc=BoundaryCondition.PERIODIC), [good], 2
+            )
+        # at w = u the clean point sits on the boundary in every realization
+        critical = ChainParams(n=10, u=1.0, w=1.0)
+        assert sweep_mean_nu(critical, [good], 20)[0].n_excluded == 0
+        with pytest.raises(RuntimeError, match="non-critical realizations at gamma = 0.0"):
+            sweep_mean_nu(critical, [good, (FlatDistribution(0.0, 1.0), 2)], 20)
+
+    def test_run_logs_each_sweep(self):
+        params = ChainParams(n=6, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
+        points = [(FlatDistribution(0.3, 1.0), 1), (FlatDistribution(0.6, 1.0), 2)]
+        with ensemble.worker_pool(2) as pool:
+            sweep_mean_gap(params, points, 3, threads=2)
+            sweep_mean_nu(params, points, 3, threads=2)
+        assert pool.sweeps == [
+            {"quantity": "mean_gap", "blocks": 2, "pooled": True},
+            {"quantity": "mean_nu", "blocks": 1, "pooled": False},
+        ]
 
 
 class TestWidthFactor:

@@ -18,6 +18,7 @@ from sshlab.model import (
 from sshlab.spectrum import (
     SpectralResult,
     chain_gap,
+    chain_gaps,
     eigenvalues_dense,
     eigenvalues_tridiagonal,
     eigenvector_near_zero,
@@ -386,6 +387,50 @@ class TestRingGap:
         for offdiag in chains:
             m = ChainMatrix(offdiag=offdiag)
             assert chain_gap(m) == eigenvalues_tridiagonal(m).gap
+
+
+def mixed_gamma_block(bc, n=12, per=3):
+    """Chains of `per` realizations at each of four disorder strengths, one
+    block: clean, weak, strong and past the sign change of the couplings,
+    with w = 0.95 and a deep topological w = 3."""
+    chains = []
+    for gi, gamma in enumerate((0.0, 0.3, 1.2, 1.8)):
+        dist = FlatDistribution(gamma=gamma, u=1.0)
+        for i in range(per):
+            w = 3.0 if i == per - 1 else 0.95
+            params = ChainParams(n=n, u=1.0, w=w, bc=bc)
+            chains.append(build_chain(params, sample_realization(dist, n, 50 + gi, i)))
+    return chains
+
+
+class TestRowIndependence:
+    """A row alone gives the same bits as that row inside a mixed-gamma block."""
+
+    def test_midgap_levels_and_vectors(self):
+        offdiag = np.array([m.offdiag for m in mixed_gamma_block(BoundaryCondition.OPEN)])
+        levels = midgap_levels(offdiag)
+        a, b = midgap_vectors(offdiag, levels)
+        for k, row in enumerate(offdiag):
+            alone = midgap_levels(row)[0]
+            assert alone.tobytes() == levels[k].tobytes()
+            a_k, b_k = midgap_vectors(row, alone[None, :])
+            assert a_k[0].tobytes() == a[k].tobytes() and b_k[0].tobytes() == b[k].tobytes()
+
+    def test_ring_golub_kahan_levels(self):
+        rings = mixed_gamma_block(BoundaryCondition.PERIODIC)
+        chains = np.array([spectrum._golub_kahan_chain(m) for m in rings])
+        levels = midgap_levels(chains)
+        gaps = chain_gaps(rings)
+        for k, m in enumerate(rings):
+            assert ring_levels(m).tobytes() == levels[k].tobytes()
+            assert chain_gap(m) == gaps[k]
+
+    def test_chain_gaps_falls_back_per_chain(self):
+        # odd rings have no Golub-Kahan chain; mixed sizes share no kernel call
+        odd = ChainMatrix(offdiag=np.full(4, 0.9), corner=0.9)
+        mixed = [random_chain(np.random.default_rng(3), n=n)[1] for n in (4, 6)]
+        for chains in ([odd, odd], mixed):
+            assert list(chain_gaps(chains)) == [chain_gap(m) for m in chains]
 
 
 class TestDense:
