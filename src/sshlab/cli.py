@@ -485,8 +485,10 @@ def run_selftest() -> int:
     v_minus, v_plus = spectrum.midgap_pair(m, res)
     resid = [m.matvec(v) - 0.5 * sign * res.gap * v for v, sign in ((v_plus, 1), (v_minus, -1))]
     checks.append(("midgap pair", max(map(np.linalg.norm, resid)) <= 1e-10 * m.norm_bound()))
+    # 40 dimers: the ring kernel slides its window, then reduces the natural block
     ring = model.build_chain(
-        model.ChainParams(n=8, u=1.0, w=0.8, bc=model.BoundaryCondition.PERIODIC), real
+        model.ChainParams(n=40, u=1.0, w=0.8, bc=model.BoundaryCondition.PERIODIC),
+        model.Realization(couplings=rng.uniform(0.5, 1.5, 40)),
     )
     dense = spectrum.eigenvalues_dense(ring).eigenvalues
     checks.append(

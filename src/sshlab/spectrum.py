@@ -8,11 +8,12 @@ symmetric matrices.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  Rings
-reach their gap through a Householder bidiagonalization of Q, whose
-Golub-Kahan tridiagonal is a zero-diagonal open chain with the same levels;
-the central-level kernel bisects it.  `chain_gap` is the one gap dispatch
-for every chain matrix, `chain_gaps` the same for a stack of chains in one
-kernel call, and `gap_resolution` the smallest gap they resolve.
+reach their gap through a batched Householder bidiagonalization of Q that
+updates only the window where fill-in lives; its Golub-Kahan tridiagonal
+is a zero-diagonal open chain with the same levels, and the central-level
+kernel bisects it.  `chain_gap` is the one gap dispatch for every chain
+matrix, `chain_gaps` the same for a stack of chains in one kernel call,
+and `gap_resolution` the smallest gap they resolve.
 An open chain is bipartite too, with a lower-bidiagonal block B, and its
 midgap pair (a, +/-b)/sqrt(2) comes from B's smallest singular pair (a, b).
 """
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+# rings per `_golub_kahan_chains` call in `chain_gaps`; rows are independent,
+# so the chunk bounds the buffers without changing any result
+_RING_CHUNK = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -106,58 +110,152 @@ def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(a).copy(), e
 
 
-def householder_bidiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a real square matrix to upper bidiagonal form (d, e).
+def _golub_kahan_chains(u: np.ndarray, w: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """Couplings [d0, e0, d1, ..., d_{n-1}] of even rings' Golub-Kahan chains, one per row.
 
-    Eigenvalue-only Golub-Kahan reduction: the singular values of
-    bidiag(d, e) are those of `a`.  Step k reflects column k from the left
-    and row k from the right; both reflections reach the trailing block as
-    one rank-2 update, a GEMM of inner dimension 2.
+    Ring b has the n intra-dimer bonds u[b], the n-1 inter-dimer bonds w[b]
+    and the corner bond corner[b].  Its sublattice block Q (rows A sites)
+    is lower bidiagonal, Q[i, i] = u_i and Q[i+1, i] = w_i, plus
+    Q[0, n-1] = corner; bidiag(d, e) is Q's Golub-Kahan form up to signs,
+    so the zero-diagonal open chain with these couplings has the ring's
+    levels.
+
+    Step k reflects column k from the left and row k from the right.  Until
+    the middle, the only entries that are neither finished nor untouched
+    band lie in rows {k, k+1, k+2} and columns {k, k+1} (the head) and in
+    rows and columns [n-k-2, n) (the tail).  So each ring lives in an m x m
+    buffer, m = n - ks about n/2 + 3: the tail at fixed positions at its
+    end, the head just before the tail, and each step works on the square
+    window from the head to the end.  After a step the head moves two
+    places toward the start, and the entries that enter the window are
+    written from the couplings.  The tail starts `slack` rows (1 for even
+    n, else 0) and slack + 1 columns early; those hold untouched band,
+    which stays so, and they make the window at step
+    ks = (n - 5 - slack) // 2 the natural trailing block [ks, n)^2.  The
+    same step then runs on it to the end.
+
+    Each ring is scaled by the power of two that brings its largest bond
+    into [1/2, 1), which is exact, so no norm under- or overflows; a column
+    or row whose norm is still zero skips its reflector.  Each ring's
+    arithmetic is independent of the other rows.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    d = np.empty(n)
-    e = np.empty(n - 1)
-    left = np.empty((n, 2))
-    right = np.empty((n, 2))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    corner = np.atleast_1d(np.asarray(corner, dtype=float))
+    rings, n = u.shape
+    bonds = np.abs(np.concatenate((u, w, corner[:, None]), axis=1))
+    scale = np.ldexp(1.0, np.frexp(bonds.max(axis=1))[1])[:, None]
+    u, w, corner = u / scale, w / scale, corner / scale[:, 0]
+    slack = 1 - n % 2
+    ks = max(0, (n - 5 - slack) // 2)
+    m = n - ks
+    buf = np.zeros((rings, m, m))
+    if ks == 0:
+        i = np.arange(n)
+        buf[:, i, i] = u
+        buf[:, i[1:], i[:-1]] = w
+        buf[:, 0, n - 1] += corner
+    else:
+        h = m - 5 - slack
+        buf[:, h, h] = u[:, 0]
+        buf[:, h + 1, h] = w[:, 0]
+        buf[:, h + 1, h + 1] = u[:, 1]
+        buf[:, h + 2, h + 1] = w[:, 1]
+        buf[:, h, m - 1] = corner
+        # tail rows [t, n) and columns [t-1, n) at their natural places m-n+g
+        t = n - 2 - slack
+        i = np.arange(m - n + t, m)
+        buf[:, i, i] = u[:, t:]
+        buf[:, i, i - 1] = w[:, t - 1 :]
+    steps = []
+    work = (np.empty((rings, m, 2)), np.zeros((rings, 2, m)), np.empty(rings * m * m))
     for k in range(n - 1):
-        x = a[k:, k]
-        rest = a[k:, k + 1 :]
-        norm_x = math.sqrt(float(np.dot(x, x)))
-        if norm_x == 0.0:
-            d[k] = 0.0
-            u = p = None
-            row = a[k, k + 1 :].copy()
-        else:
-            d[k] = -math.copysign(norm_x, x[0])
-            u = x.copy()
-            u[0] -= d[k]
-            # left reflection I - b u u^T sends row j to row j - u_j p
-            p = (2.0 / float(np.dot(u, u))) * (u @ rest)
-            row = rest[0] - u[0] * p
-        trail = a[k + 1 :, k + 1 :]
-        norm_row = math.sqrt(float(np.dot(row, row)))
-        if norm_row == 0.0 or k == n - 2:
-            e[k] = row[0]
-            if u is not None:
-                trail -= np.outer(u[1:], p)
+        h = m - n + k if k >= ks else m - 5 - slack - k
+        steps.append(_golub_kahan_step(buf, h, work))
+        if k >= ks:
             continue
-        e[k] = -math.copysign(norm_row, row[0])
-        v = row
-        v[0] -= e[k]
-        beta = 2.0 / float(np.dot(v, v))
-        if u is None:
-            trail -= np.outer(beta * (trail @ v), v)
-            continue
-        # (T - u p^T)(I - beta v v^T) = T - u p^T - q v^T
-        q = beta * (trail @ v - float(np.dot(p, v)) * u[1:])
-        m = n - 1 - k
-        lhs, rhs = left[:m], right[:m]
-        lhs[:, 0], lhs[:, 1] = u[1:], q
-        rhs[:, 0], rhs[:, 1] = p, v
-        trail -= lhs @ rhs.T
-    d[n - 1] = a[n - 1, n - 1]
-    return d, e
+        # head rows k+1, k+2 and head column k+1 move two places toward the start
+        buf[:, h - 1 : h + 1, h + 1 :] = buf[:, h + 1 : h + 3, h + 1 :]
+        buf[:, h - 1 :, h - 1] = buf[:, h - 1 :, h + 1]
+        buf[:, h - 1 :, h : h + 2] = 0.0
+        buf[:, h + 1 : h + 3, h - 1 :] = 0.0
+        # column k+2 and row k+3 join the head; row t and column t-1 the tail
+        t = n - k - 3 - slack
+        buf[:, h, h] = u[:, k + 2]
+        buf[:, h + 1, h] = w[:, k + 2]
+        buf[:, h + 2, h + 1] = w[:, t - 1]
+        buf[:, h + 2, h + 2] = u[:, t]
+        if k + 1 == ks:
+            buf[:, h + 1, h + 1] = u[:, k + 3]  # row k+3 is the tail's row t-1
+    steps.append((buf[:, m - 1, m - 1], np.zeros(rings)))
+    # rows of (d_k, e_k) pairs, the last e a pad
+    return np.array(steps).transpose(2, 0, 1).reshape(rings, -1)[:, :-1] * scale
+
+
+def _golub_kahan_step(buf: np.ndarray, h: int, work) -> tuple[np.ndarray, np.ndarray]:
+    """One batched Golub-Kahan step on the square windows buf[:, h:, h:].
+
+    Returns the signed norms (alpha, beta) of the window's first column and
+    of its first row after the left reflection: the step's d and e up to
+    sign.  The reduced trailing block replaces the window's rows and
+    columns 1:.  A 2 x 2 window has no row to reflect; beta is then the
+    row's one entry.  `work` holds the (rings, m, 2) and (rings, 2, m)
+    factors of the rank-2 update, the second zero left of the window, and
+    room for their product.
+    """
+    lbuf, rbuf, room = work
+    rings, m = buf.shape[:2]
+    s = m - h
+    win = buf[:, h:, h:]
+    x, rest, trail = win[:, :, 0], win[:, :, 1:], win[:, 1:, 1:]
+    lhs, rhs = lbuf[:, : s - 1], rbuf[:, :, h + 1 :]
+    vt, q, p, z = lhs[:, :, 0], lhs[:, :, 1], rhs[:, 0], rhs[:, 1]
+    # the reflector I - tau v v^T (v = (1, vt)) sends x to -alpha e0; its
+    # first row is -x^T / alpha, so y = (x^T rest) / alpha is minus the
+    # reflected row, and the rest of the window loses vt p^T
+    alpha = np.copysign(np.sqrt(np.einsum("ij,ij->i", x, x)), x[:, 0])
+    y = np.matmul(x[:, None, :], rest)[:, 0]
+    if alpha.all():
+        y /= alpha[:, None]
+        np.divide(x[:, 1:], (x[:, 0] + alpha)[:, None], out=vt)
+    else:
+        # a zero column keeps its rows: y = -rest[0] and vt = 0
+        live = alpha != 0.0
+        y /= np.where(live, alpha, 1.0)[:, None]
+        y[~live] = -rest[~live, 0]
+        np.divide(x[:, 1:], np.where(live, x[:, 0] + alpha, 1.0)[:, None], out=vt)
+        vt[~live] = 0.0
+    np.add(rest[:, 0], y, out=p)
+    if s == 2:
+        trail[:, 0, 0] -= vt[:, 0] * p[:, 0]
+        return alpha, y[:, 0]
+    # the same on the reflected row from the right, with z = (1, ...) and
+    # (trail - vt p^T)(I - tau z z^T) = trail - vt p^T - q z^T
+    beta = np.copysign(np.sqrt(np.einsum("ij,ij->i", y, y)), y[:, 0])
+    z0 = y[:, 0] + beta
+    if beta.all():
+        tau = z0 / beta
+        np.divide(y, z0[:, None], out=z)
+    else:
+        live = beta != 0.0
+        tau = np.where(live, z0, 0.0) / np.where(live, beta, 1.0)
+        np.divide(y, np.where(live, z0, 1.0)[:, None], out=z)
+    z[:, 0] = 1.0
+    np.matmul(trail, z[:, :, None], out=q[:, :, None])
+    q -= np.einsum("ij,ij->i", p, z)[:, None] * vt
+    q *= tau[:, None]
+    if 2 * (s - 1) >= m:
+        # whole buffer rows are contiguous, which pays once the window is
+        # half the buffer; rbuf is zero left of the window
+        rbuf[:, :, h] = 0.0
+        prod = room[: rings * (s - 1) * m].reshape(rings, s - 1, m)
+        np.matmul(lhs, rbuf, out=prod)
+        trail = buf[:, h + 1 :]
+    else:
+        prod = room[: rings * (s - 1) ** 2].reshape(rings, s - 1, s - 1)
+        np.matmul(lhs, rhs, out=prod)
+    np.subtract(trail, prod, out=trail)
+    return alpha, beta
 
 
 def sturm_count(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -454,32 +552,12 @@ def ring_levels(m: ChainMatrix) -> np.ndarray:
 
     s1 <= s2 are the two smallest singular values of the sublattice block Q,
     read from the Golub-Kahan chain of its bidiagonal form
-    (`_golub_kahan_chain`) by `midgap_levels`.  Neither the 2n x 2n matrix
+    (`_golub_kahan_chains`) by `midgap_levels`.  Neither the 2n x 2n matrix
     nor an inertia count through the ring corner is formed.
     """
     if m.is_tridiagonal or m.size % 2 or m.size < 4:
         raise ValueError("ring levels need a ring with an even number (>= 4) of sites")
-    return midgap_levels(_golub_kahan_chain(m))[0]
-
-
-def _golub_kahan_chain(m: ChainMatrix) -> np.ndarray:
-    """Couplings [d0, e0, d1, ..., d_{n-1}] of an even ring's Golub-Kahan chain.
-
-    (d, e) is the bidiagonal form of the ring's sublattice block Q, so the
-    zero-diagonal open chain with these couplings has the ring's levels.
-    """
-    n = m.size // 2
-    q = np.zeros((n, n))
-    i = np.arange(n)
-    # bonds a_i-b_i, b_i-a_{i+1} and the corner b_{n-1}-a_0; rows are A sites
-    q[i, i] = m.offdiag[0::2]
-    q[i[1:], i[:-1]] = m.offdiag[1::2]
-    q[0, n - 1] = m.corner
-    d, e = householder_bidiagonalize(q)
-    couplings = np.empty(2 * n - 1)
-    couplings[0::2] = d
-    couplings[1::2] = e
-    return couplings
+    return midgap_levels(_golub_kahan_chains(m.offdiag[0::2], m.offdiag[1::2], m.corner))[0]
 
 
 def _midgap_spectrum(m: ChainMatrix) -> SpectralResult:
@@ -506,16 +584,22 @@ def chain_gaps(chains) -> np.ndarray:
     """`chain_gap` of each chain in a list, from one `midgap_levels` call.
 
     Open chains bring their own couplings and even rings their Golub-Kahan
-    chains; the kernel's rows are independent, so each gap is bit-identical
-    to `chain_gap` of that chain alone.  Unless every chain has the same
-    even size N >= 4, the chains take `chain_gap` one by one.
+    chains, reduced _RING_CHUNK rings per kernel call to bound the buffers.
+    Both kernels' rows are independent, so each gap is bit-identical to
+    `chain_gap` of that chain alone.  Unless every chain has the same even
+    size N >= 4, the chains take `chain_gap` one by one.
     """
     chains = list(chains)
     size = chains[0].size if chains else 0
     if size < 4 or size % 2 or any(m.size != size for m in chains):
         return np.array([chain_gap(m) for m in chains])
-    couplings = [m.offdiag if m.is_tridiagonal else _golub_kahan_chain(m) for m in chains]
-    return 2.0 * np.min(np.abs(midgap_levels(np.array(couplings))), axis=1)
+    couplings = np.array([m.offdiag for m in chains])
+    rings = [k for k, m in enumerate(chains) if not m.is_tridiagonal]
+    for start in range(0, len(rings), _RING_CHUNK):
+        rows = rings[start : start + _RING_CHUNK]
+        corners = [chains[k].corner for k in rows]
+        couplings[rows] = _golub_kahan_chains(couplings[rows, 0::2], couplings[rows, 1::2], corners)
+    return 2.0 * np.min(np.abs(midgap_levels(couplings)), axis=1)
 
 
 def gap_resolution(m: ChainMatrix) -> float:

@@ -148,3 +148,59 @@ def eigvals_ql(d: np.ndarray, e: np.ndarray, max_sweeps: int = 50) -> np.ndarray
             e[l] = g
             e[m] = 0.0
     return np.sort(d)
+
+
+def householder_bidiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce a real square matrix to upper bidiagonal form (d, e).
+
+    Eigenvalue-only dense Golub-Kahan reduction, the oracle of the ring
+    kernel `spectrum._golub_kahan_chains`: it updates the whole trailing
+    block at every step.  The singular values of bidiag(d, e) are those of
+    `a`.  Step k reflects column k from the left
+    and row k from the right; both reflections reach the trailing block as
+    one rank-2 update, a GEMM of inner dimension 2.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    d = np.empty(n)
+    e = np.empty(n - 1)
+    left = np.empty((n, 2))
+    right = np.empty((n, 2))
+    for k in range(n - 1):
+        x = a[k:, k]
+        rest = a[k:, k + 1 :]
+        norm_x = math.sqrt(float(np.dot(x, x)))
+        if norm_x == 0.0:
+            d[k] = 0.0
+            u = p = None
+            row = a[k, k + 1 :].copy()
+        else:
+            d[k] = -math.copysign(norm_x, x[0])
+            u = x.copy()
+            u[0] -= d[k]
+            # left reflection I - b u u^T sends row j to row j - u_j p
+            p = (2.0 / float(np.dot(u, u))) * (u @ rest)
+            row = rest[0] - u[0] * p
+        trail = a[k + 1 :, k + 1 :]
+        norm_row = math.sqrt(float(np.dot(row, row)))
+        if norm_row == 0.0 or k == n - 2:
+            e[k] = row[0]
+            if u is not None:
+                trail -= np.outer(u[1:], p)
+            continue
+        e[k] = -math.copysign(norm_row, row[0])
+        v = row
+        v[0] -= e[k]
+        beta = 2.0 / float(np.dot(v, v))
+        if u is None:
+            trail -= np.outer(beta * (trail @ v), v)
+            continue
+        # (T - u p^T)(I - beta v v^T) = T - u p^T - q v^T
+        q = beta * (trail @ v - float(np.dot(p, v)) * u[1:])
+        m = n - 1 - k
+        lhs, rhs = left[:m], right[:m]
+        lhs[:, 0], lhs[:, 1] = u[1:], q
+        rhs[:, 0], rhs[:, 1] = p, v
+        trail -= lhs @ rhs.T
+    d[n - 1] = a[n - 1, n - 1]
+    return d, e

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import eigvals_ql, jacobi_eigenvalues
+from oracles import eigvals_ql, householder_bidiagonalize, jacobi_eigenvalues
 from sshlab import spectrum
 from sshlab.ensemble import FlatDistribution, sample_realization
 from sshlab.model import (
@@ -43,6 +43,16 @@ def central_entries(e):
 def ring(couplings, w):
     params = ChainParams(n=len(couplings), u=1.0, w=w, bc=BoundaryCondition.PERIODIC)
     return build_chain(params, Realization(couplings=couplings))
+
+
+def golub_kahan_chain(m):
+    """One ring's Golub-Kahan chain from a one-row kernel call."""
+    return spectrum._golub_kahan_chains(m.offdiag[0::2], m.offdiag[1::2], m.corner)
+
+
+def sublattice_block(m):
+    """The ring's n x n block Q: rows A sites, columns B sites."""
+    return m.to_dense()[0::2, 1::2]
 
 
 def assert_gap_matches_eigvalsh(m):
@@ -389,6 +399,76 @@ class TestRingGap:
             assert chain_gap(m) == eigenvalues_tridiagonal(m).gap
 
 
+class TestGolubKahanChains:
+    """The windowed ring reduction against the dense oracle and eigvalsh."""
+
+    def assert_matches_oracle(self, m):
+        q = sublattice_block(m)
+        chain = golub_kahan_chain(m)[0]
+        got = np.linalg.svd(np.diag(chain[0::2]) + np.diag(chain[1::2], 1), compute_uv=False)
+        d, e = householder_bidiagonalize(q)
+        ref = np.linalg.svd(np.diag(d) + np.diag(e, 1), compute_uv=False)
+        tol = 8.0 * max(len(q), 8) * EPS * float(ref[0])
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=tol)
+        assert_gap_matches_eigvalsh(m)
+
+    def test_every_size_through_the_switch_to_the_natural_block(self):
+        # n <= 6 is one dense block; above, the window slides until step
+        # (n - 5 - slack) // 2, which differs for odd and even n
+        rng = np.random.default_rng(51)
+        for n in range(2, 61):
+            for _ in range(2):
+                w = float(rng.uniform(-1.8, 1.8))
+                self.assert_matches_oracle(ring(rng.uniform(-1.8, 1.8, n), w))
+
+    def test_zero_and_underflowing_couplings(self):
+        rng = np.random.default_rng(52)
+        for n in (3, 6, 7, 12, 31):
+            base = ring(rng.uniform(0.3, 1.7, n), 0.9)
+            # bonds in the head, the middle and the tail, then the corner
+            for bond in (0, 1, 2, n - 1, n, 2 * n - 3, 2 * n - 2, None):
+                for value in (0.0, 1e-170):
+                    offdiag, corner = base.offdiag.copy(), base.corner
+                    if bond is None:
+                        corner = value
+                    else:
+                        offdiag[bond] = value
+                    self.assert_matches_oracle(ChainMatrix(offdiag=offdiag, corner=corner))
+            # two zero bonds isolate a site: a zero column or row of Q
+            for bond in (0, n - 1, 2 * n - 3):
+                offdiag = base.offdiag.copy()
+                offdiag[bond : bond + 2] = 0.0
+                self.assert_matches_oracle(ChainMatrix(offdiag=offdiag, corner=base.corner))
+
+    def test_c06_rings(self):
+        # c06's ensemble: 300-dimer rings at w = 0.8 from weak disorder to its gap minimum
+        rng = np.random.default_rng(53)
+        rings = []
+        for gamma in (0.3, 0.4, 0.55, 0.8):
+            half = math.sqrt(3.0) * gamma
+            rings += [ring(rng.uniform(1.0 - half, 1.0 + half, 300), 0.8) for _ in range(2)]
+        gaps = chain_gaps(rings)
+        for m, gap in zip(rings, gaps):
+            assert gap == assert_gap_matches_eigvalsh(m)[0]
+
+    def test_power_of_two_scaling_is_exact(self):
+        # no norm under- or overflows: scaled rings give exactly scaled chains
+        rng = np.random.default_rng(54)
+        m = ring(rng.uniform(0.3, 1.7, 41), 0.9)
+        chain = golub_kahan_chain(m)
+        for scale in (2.0**-600, 2.0**-3, 2.0**900):
+            scaled = spectrum._golub_kahan_chains(
+                scale * m.offdiag[0::2], scale * m.offdiag[1::2], scale * m.corner
+            )
+            assert scaled.tobytes() == (scale * chain).tobytes()
+
+    def test_chunked_block_gives_the_bits_of_each_ring_alone(self):
+        rng = np.random.default_rng(55)
+        rings = [ring(rng.uniform(0.0, 2.0, 20), 0.8) for _ in range(2 * spectrum._RING_CHUNK + 3)]
+        rings[5] = ChainMatrix(offdiag=rings[5].offdiag)  # an open chain among the rings
+        assert list(chain_gaps(rings)) == [chain_gap(m) for m in rings]
+
+
 def mixed_gamma_block(bc, n=12, per=3):
     """Chains of `per` realizations at each of four disorder strengths, one
     block: clean, weak, strong and past the sign change of the couplings,
@@ -418,12 +498,25 @@ class TestRowIndependence:
 
     def test_ring_golub_kahan_levels(self):
         rings = mixed_gamma_block(BoundaryCondition.PERIODIC)
-        chains = np.array([spectrum._golub_kahan_chain(m) for m in rings])
+        chains = np.vstack([golub_kahan_chain(m) for m in rings])
         levels = midgap_levels(chains)
         gaps = chain_gaps(rings)
         for k, m in enumerate(rings):
             assert ring_levels(m).tobytes() == levels[k].tobytes()
             assert chain_gap(m) == gaps[k]
+
+    def test_ring_alone_and_in_a_mixed_gamma_block_of_four(self):
+        rng = np.random.default_rng(56)
+        block = []
+        for gamma in (0.0, 0.3, 0.55, 0.8):
+            half = math.sqrt(3.0) * gamma
+            block.append(ring(rng.uniform(1.0 - half, 1.0 + half, 40), 0.8))
+        offdiag = np.array([m.offdiag for m in block])
+        chains = spectrum._golub_kahan_chains(
+            offdiag[:, 0::2], offdiag[:, 1::2], [m.corner for m in block]
+        )
+        for k, m in enumerate(block):
+            assert golub_kahan_chain(m)[0].tobytes() == chains[k].tobytes()
 
     def test_chain_gaps_falls_back_per_chain(self):
         # odd rings have no Golub-Kahan chain; mixed sizes share no kernel call
