@@ -189,29 +189,15 @@ def z1_flat_closed_form(gamma: float, u: float) -> float:
 
     With a = sqrt3 gamma/|u|: below a = 1/2 the even power series
     (`_flat_log_series`), which keeps full relative accuracy as gamma -> 0;
-    from a = 1/2 on
-    -1 + u/(2 sqrt3 gamma) * log((u + sqrt3 gamma)/|u - sqrt3 gamma|)
-       + log|1 - 3 gamma^2/u^2| / 2,
-    with the removable singularity at sqrt3 gamma = u evaluated by its
-    finite limit log(2) - 1.
+    from a = 1/2 on the form `_flat_log_mean`, which has no singularity at
+    sqrt3 gamma = |u|.
     """
     if gamma <= 0.0:
         raise ValueError("closed form requires gamma > 0")
     if u == 0.0:
         raise ValueError("u must be nonzero")
-    au = abs(u)
-    r3 = math.sqrt(3.0) * gamma
-    a = r3 / au
-    if a < 0.5:
-        return _flat_log_series(a)[0]
-    if r3 == au:
-        warnings.warn("sqrt(3)*gamma = |u| exactly; returning the limit value")
-        return math.log(2.0) - 1.0
-    return (
-        -1.0
-        + (au / (2.0 * r3)) * math.log((au + r3) / abs(au - r3))
-        + 0.5 * math.log(abs(1.0 - 3.0 * gamma * gamma / (au * au)))
-    )
+    a = math.sqrt(3.0) * gamma / abs(u)
+    return _flat_log_series(a)[0] if a < 0.5 else _flat_log_mean(a)
 
 
 def z2_flat_closed_form(gamma: float, u: float) -> float:
@@ -232,9 +218,8 @@ def z2_flat_closed_form(gamma: float, u: float) -> float:
         first, second = _flat_log_series(a)
         return second - first * first
     lo, hi = 1.0 - a, 1.0 + a
-    # z1 in a form without z1_flat_closed_form's removable singularity at
-    # a = 1; an error d in it moves E[(log|x| - z1)^2] by d^2 only
-    z1 = (_x_log_abs(hi) - _x_log_abs(lo)) / (2.0 * a) - 1.0
+    # an error d in z1 moves E[(log|x| - z1)^2] by d^2 only
+    z1 = _flat_log_mean(a)
 
     def antiderivative(x: float) -> float:
         if x == 0.0:
@@ -243,6 +228,15 @@ def z2_flat_closed_form(gamma: float, u: float) -> float:
         return x * (t * t - 2.0 * t + 2.0)
 
     return (antiderivative(hi) - antiderivative(lo)) / (2.0 * a)
+
+
+def _flat_log_mean(a: float) -> float:
+    """E[log|1+s|] for s uniform on [-a, a]: [x log|x|] from 1 - a to 1 + a, over 2a, minus 1.
+
+    x log|x| is continuous at x = 0 (a = 1), so this form has no removable
+    singularity there.
+    """
+    return (_x_log_abs(1.0 + a) - _x_log_abs(1.0 - a)) / (2.0 * a) - 1.0
 
 
 def _x_log_abs(x: float) -> float:

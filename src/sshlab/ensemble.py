@@ -238,8 +238,9 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     (`_sweep_blocks`), a size the worker count never changes, and each block
     is farmed out whole, so every worker call sees the same rows with any
     number of workers.  A sweep of one block, or a run with one worker,
-    stays in-process.  The worker returns a tuple of per-row arrays; so
-    does this map, each reshaped to (point, index, ...).
+    stays in-process.  A pool never starts more processes than there are
+    CPUs, whatever `threads` asks for.  The worker returns a tuple of per-row
+    arrays; so does this map, each reshaped to (point, index, ...).
     """
     if not points:
         raise ValueError("a sweep needs at least one point")
@@ -259,12 +260,14 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
         results = [worker(b) for b in blocks]
     else:
         chunksize = max(1, len(blocks) // (threads * 4))
+        # a forked pool starts all its workers at its first task
+        workers = min(threads, os.cpu_count() or 1)
         if slot is not None and slot.threads == threads:
             if slot.executor is None:
-                slot.executor = ProcessPoolExecutor(max_workers=threads)
+                slot.executor = ProcessPoolExecutor(max_workers=workers)
             results = list(slot.executor.map(worker, blocks, chunksize=chunksize))
         else:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(worker, blocks, chunksize=chunksize))
     return [
         np.concatenate(rows).reshape(len(points), r, *rows[0].shape[1:])

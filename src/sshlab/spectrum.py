@@ -1,20 +1,20 @@
 """Eigensolvers for the chain matrices.
 
-Self-contained kernels, no external linear-algebra backends: Sturm-sequence
-bisection for symmetric tridiagonal eigenvalues, a batched bisection of
-only the four central levels of open chains, a batched shift-and-invert
-kernel for their midgap pair, and Householder reduction for dense
-symmetric matrices.
+Self-contained kernels, no external linear-algebra backends.  One batched
+Sturm-bisection kernel, `_bisect_levels`, gives any levels of a stack of
+symmetric tridiagonal chains: all of one chain (`eigvals_sturm`) or the
+four central ones of open chains (`midgap_levels`).  A batched
+shift-and-invert kernel gives the open-chain midgap pair, and Householder
+reduction takes dense symmetric matrices to tridiagonal form.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  Rings
 reach their gap through a batched Householder bidiagonalization of Q that
 updates only the window where fill-in lives; its Golub-Kahan tridiagonal
-is a zero-diagonal open chain with the same levels, and the central-level
-kernel bisects it.  `chain_gap` is the one gap dispatch for every chain
-matrix, `chain_gaps` the same for a stack of chains in one kernel call,
-and `gap_resolution` the smallest gap they resolve.
-An open chain is bipartite too, with a lower-bidiagonal block B, and its
+is a zero-diagonal open chain with the same levels, and `midgap_levels`
+bisects it.  `chain_gaps` is the one gap dispatch (`chain_gap` is its
+one-chain call) and `gap_resolution` the smallest gap it resolves.  An
+open chain is bipartite too, with a lower-bidiagonal block B, and its
 midgap pair (a, +/-b)/sqrt(2) comes from B's smallest singular pair (a, b).
 """
 
@@ -258,147 +258,85 @@ def _golub_kahan_step(buf: np.ndarray, h: int, work) -> tuple[np.ndarray, np.nda
     return alpha, beta
 
 
-def sturm_count(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of tridiag(d, e) strictly below each shift.
-
-    Standard negative-pivot count of the shifted LDL^T recurrence,
-    vectorized over the shifts.  Zero and infinite pivots propagate
-    correctly through IEEE arithmetic as long as no e2 entry is exactly
-    zero; matrices with a vanishing coupling fall back to a clamped
-    recurrence that never divides 0/0.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    n = len(d)
-    if len(e2) and float(e2.min()) == 0.0:
-        return _sturm_count_clamped(d, e2, xs)
-    q = d[0] - xs
-    count = (q < 0.0).astype(np.int64)
-    tmp = np.empty_like(q)
-    mask = np.empty(len(xs), dtype=bool)
-    with np.errstate(divide="ignore"):
-        for i in range(1, n):
-            np.divide(e2[i - 1], q, out=tmp)
-            np.subtract(d[i], tmp, out=tmp)
-            np.subtract(tmp, xs, out=q)
-            np.less(q, 0.0, out=mask)
-            count += mask
-    return count
-
-
-def _sturm_count_clamped(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    pivmin = 1e-292 * max(1.0, float(e2.max()))
-    q = d[0] - xs
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, len(d)):
-        q = d[i] - xs - e2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
-    return count
-
-
 def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix by bisection.
-
-    Every eigenvalue is bisected independently (vectorized across the
-    spectrum) down to ~1e-14 of the Gershgorin bound, which makes the
-    result deterministic and naturally sorted.
-    """
+    """All eigenvalues of tridiag(d, e), sorted: one `_bisect_levels` row, every level."""
     d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = len(d)
-    if n == 1:
+    if len(d) == 1:
         return d.copy()
-    e2 = e * e
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    bound = float(np.max(np.abs(d) + radius))
-    if bound == 0.0:
-        return np.zeros(n)
-    lo = np.full(n, -bound)
-    hi = np.full(n, bound)
-    targets = np.arange(1, n + 1)
-    tol = 1e-14 * bound
-    for _ in range(128):
-        mid = 0.5 * (lo + hi)
-        below = sturm_count(d, e2, mid) >= targets
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if float(np.max(hi - lo)) <= tol:
-            break
-    else:
-        raise ConvergenceError("bisection failed to localize the spectrum")
-    return 0.5 * (lo + hi)
+    return _bisect_levels(np.asarray(e, dtype=float)[None, :], np.arange(len(d)), d[None, :])[0]
 
 
 def midgap_levels(offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues N/2-2 .. N/2+1 of zero-diagonal open chains, one per row.
 
-    `offdiag` holds the N-1 couplings of each chain (N >= 4).  Each
-    value is bit-identical to the same entry of `eigvals_sturm` on that
-    chain: same Gershgorin brackets, midpoints, Sturm pivots and stop rule.
-    One Sturm pass evaluates every midpoint of a bisection subtree at once,
-    then the bisection path is walked level by level, so the sequential
-    passes over the sites drop by the subtree depth.  The depth keeps a pass
-    near 1000 shifts: deep (up to 6) for a few rows, shallow for many.  Rows
-    with an exactly zero squared coupling take `eigvals_sturm`'s clamped
-    route.
+    `offdiag` holds the N-1 couplings of each chain (N >= 4).  The four
+    levels come from `_bisect_levels`, so each value is bit-identical to the
+    same entry of `eigvals_sturm` on that chain: every interval is
+    2*bound/2**k after k steps up to rounding far below the tolerance, so
+    all of them reach it at the same step (k = 48).
     """
     e = np.atleast_2d(np.asarray(offdiag, dtype=float))
-    rows, size = e.shape[0], e.shape[1] + 1
-    if size < 4:
+    if e.shape[1] < 3:
         raise ValueError("chains need at least 4 sites")
-    half = size // 2
-    out = np.empty((rows, 4))
+    half = (e.shape[1] + 1) // 2
+    return _bisect_levels(e, np.arange(half - 2, half + 2))
+
+
+def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """Sorted eigenvalues `which` (0-based) of tridiag(d[r], e[r]), one chain per row r.
+
+    d is None for zero diagonals.  Every level bisects the Gershgorin
+    interval [-bound, bound], bound = max_i |d_i| + |e_{i-1}| + |e_i|, at
+    0.5*(lo + hi) until all of its row's intervals are within 1e-14*bound,
+    and is then its interval's midpoint.  One Sturm pass counts every
+    midpoint of a bisection subtree, then the path is walked level by level,
+    so the passes over the sites drop by the subtree depth, which keeps a
+    pass near 1000 shifts (up to 6 for few rows x targets).  Rows with an
+    exactly zero squared coupling take `_sturm_count_clamped`, the others
+    `_sturm_count`.  Each row's arithmetic is independent of the other rows
+    and of the depth.
+    """
+    targets = np.asarray(which) + 1
+    ae = np.abs(e)
+    radius = np.concatenate((ae[:, :1], ae[:, :-1] + ae[:, 1:], ae[:, -1:]), axis=1)
+    if d is not None:
+        radius = np.abs(d) + radius
+    bound = radius.max(axis=1, keepdims=True)
+    hi = np.repeat(bound, len(targets), axis=1)
+    lo = -hi
     e2 = e * e
     clamped = e2.min(axis=1) == 0.0
-    for row in np.flatnonzero(clamped):
-        out[row] = eigvals_sturm(np.zeros(size), e[row])[half - 2 : half + 2]
-    live = np.flatnonzero(~clamped)
-    if not len(live):
-        return out
-    e, e2 = np.abs(e[live]), e2[live]
-    # eigvals_sturm's Gershgorin bound: max over sites of |e_{i-1}| + |e_i|
-    radius = np.concatenate((e[:, :1], e[:, :-1] + e[:, 1:], e[:, -1:]), axis=1)
-    bound = radius.max(axis=1, keepdims=True)
-    # eigvals_sturm stops on the widest of all N intervals; every interval
-    # is 2*bound/2**k after k steps up to rounding far below tol, so the
-    # four central ones reach tol at the same step (k = 48)
-    tol = 1e-14 * bound
-    targets = np.arange(half - 1, half + 3)
-    lo = np.repeat(-bound, 4, axis=1)
-    hi = np.repeat(bound, 4, axis=1)
-    act = np.arange(len(live))
-    depth = max(1, min(6, round(math.log2(256 / len(act) + 1))))
-    steps = 0
-    while len(act):
-        # levels still needed if every interval halves cleanly
-        need = np.log2(np.max((hi[act] - lo[act]) / tol[act]))
-        levels = int(min(depth, max(1, math.ceil(need))))
-        mids = _subtree_midpoints(lo[act], hi[act], levels)
-        counts = _sturm_count_zero_diag(e2[act], mids.reshape(len(act), -1))
-        counts = counts.reshape(mids.shape)
-        a_lo, a_hi = lo[act], hi[act]
-        node = np.zeros(a_lo.shape, dtype=np.intp)
-        done = np.zeros(len(act), dtype=bool)
-        for level in range(levels):
-            pos = (node + (1 << level) - 1)[..., None]
-            mid = np.take_along_axis(mids, pos, -1)[..., 0]
-            below = np.take_along_axis(counts, pos, -1)[..., 0] >= targets
-            a_hi = np.where(below & ~done[:, None], mid, a_hi)
-            a_lo = np.where(below | done[:, None], a_lo, mid)
-            node = 2 * node + ~below
-            steps += 1
-            done |= np.all(a_hi - a_lo <= tol[act], axis=1)
-            if steps == 128 or done.all():
-                break
-        lo[act], hi[act] = a_lo, a_hi
-        act = act[~done]
-        if steps == 128 and len(act):
-            raise ConvergenceError("bisection failed to localize the midgap levels")
-    out[live] = 0.5 * (lo + hi)
-    return out
+    for route, count in ((~clamped, _sturm_count), (clamped, _sturm_count_clamped)):
+        # a zero bound leaves every level at 0.5*(-0.0 + 0.0) = 0.0
+        act = np.flatnonzero(route & (bound[:, 0] > 0.0))
+        depth = max(1, min(6, round(math.log2(1024 / max(1, len(act) * len(targets)) + 1))))
+        steps = 0
+        while len(act):
+            a_lo, a_hi, a_bound = lo[act], hi[act], bound[act]
+            # levels left if intervals halve cleanly; width/bound is finite where tol underflows
+            need = math.log2(1e14 * float(np.max((a_hi - a_lo) / a_bound)))
+            levels = min(depth, max(1, math.ceil(need)))
+            mids = _subtree_midpoints(a_lo, a_hi, levels)
+            a_d = None if d is None else d[act]
+            counts = count(e2[act], mids.reshape(len(act), -1), a_d).reshape(mids.shape)
+            node = np.zeros(a_lo.shape, dtype=np.intp)
+            done = np.zeros(len(act), dtype=bool)
+            for level in range(levels):
+                pos = (node + (1 << level) - 1)[..., None]
+                mid = np.take_along_axis(mids, pos, -1)[..., 0]
+                below = np.take_along_axis(counts, pos, -1)[..., 0] >= targets
+                a_hi = np.where(below & ~done[:, None], mid, a_hi)
+                a_lo = np.where(below | done[:, None], a_lo, mid)
+                node = 2 * node + ~below
+                steps += 1
+                done |= np.all(a_hi - a_lo <= 1e-14 * a_bound, axis=1)
+                if steps == 128 or done.all():
+                    break
+            lo[act], hi[act] = a_lo, a_hi
+            act = act[~done]
+            if steps == 128 and len(act):
+                raise ConvergenceError("bisection failed to localize the levels")
+    return 0.5 * (lo + hi)
 
 
 def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
@@ -418,32 +356,64 @@ def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarra
     return np.concatenate(out, axis=-1)
 
 
-def _sturm_count_zero_diag(e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """`sturm_count` with d = 0 for row-wise chains e2 (R, N-1) at shifts xs (R, S).
+def _sturm_count(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+    """Eigenvalues of tridiag(d, e) below each shift: e2 (R, N-1), xs (R, S), d (R, N) or None.
 
-    The pivot update (0 - x) - e2/q equals sturm_count's (0 - e2/q) - x
-    bit for bit, signed zeros included.  Pivots are kept for 32 sites and
-    their signs counted in one call.  The per-site operands are views made
-    before the loop; a single chain's couplings are 0-d, which broadcast
-    over the shifts at less cost per call than a (1, 1) column.
+    The negative-pivot count of the shifted LDL^T recurrence; zero and
+    infinite pivots propagate through IEEE arithmetic as long as no e2
+    entry is exactly zero.  The update is (d_i - e2/q) - x, or for a zero
+    diagonal (0 - x) - e2/q, which equals (0 - e2/q) - x bit for bit,
+    signed zeros included.  Pivots are kept for 32 sites and their signs
+    counted in one call.  A single chain's per-site operands are 0-d views,
+    which broadcast over the shifts at less cost per call than a column.
     """
-    negx = 0.0 - xs
-    q = negx
-    count = (q < 0.0).astype(np.int64)
-    if len(e2) == 1:
-        sites = [e2[0, i, ...] for i in range(e2.shape[1])]
+
+    def per_site(a):
+        return [a[0, i, ...] for i in range(a.shape[1])] if len(a) == 1 else list(a.T[:, :, None])
+
+    sites = per_site(e2)
+    if d is None:
+        q = negx = 0.0 - xs
     else:
-        sites = list(e2.T[:, :, None])
+        q = d[:, :1] - xs
+        diag = per_site(d[:, 1:])
+    count = (q < 0.0).astype(np.int64)
     buf = np.empty((min(32, len(sites)),) + xs.shape)
     pivots = list(buf)
     with np.errstate(divide="ignore"):
         for start in range(0, len(sites), len(buf)):
             block = sites[start : start + len(buf)]
-            for c, out in zip(block, pivots):
-                np.divide(c, q, out=out)
-                np.subtract(negx, out, out=out)
-                q = out
+            if d is None:
+                for c, out in zip(block, pivots):
+                    np.divide(c, q, out=out)
+                    np.subtract(negx, out, out=out)
+                    q = out
+            else:
+                for c, di, out in zip(block, diag[start:], pivots):
+                    np.divide(c, q, out=out)
+                    np.subtract(di, out, out=out)
+                    np.subtract(out, xs, out=out)
+                    q = out
             count += np.count_nonzero(buf[: len(block)] < 0.0, axis=0)
+    return count
+
+
+def _sturm_count_clamped(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+    """`_sturm_count` for chains with an exactly zero squared coupling.
+
+    A pivot below pivmin = 1e-292*max(1, max e2) in magnitude becomes
+    -pivmin, so the recurrence (d_i - x) - e2/q never divides 0/0.
+    """
+    if d is None:
+        d = np.zeros((len(e2), e2.shape[1] + 1))
+    pivmin = 1e-292 * np.maximum(1.0, e2.max(axis=1, keepdims=True))
+    q = d[:, :1] - xs
+    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    count = (q < 0.0).astype(np.int64)
+    for i in range(1, d.shape[1]):
+        q = d[:, i, None] - xs - e2[:, i - 1, None] / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count += q < 0.0
     return count
 
 
@@ -560,39 +530,30 @@ def ring_levels(m: ChainMatrix) -> np.ndarray:
     return midgap_levels(_golub_kahan_chains(m.offdiag[0::2], m.offdiag[1::2], m.corner))[0]
 
 
-def _midgap_spectrum(m: ChainMatrix) -> SpectralResult:
-    """The levels that carry the gap: the four central ones where a kernel gives them.
-
-    Open chains and even rings of at least 4 sites bisect only their four
-    central levels (for open chains each is bit-identical to the same entry
-    of the full bisected spectrum); smaller chains and odd rings take the
-    whole spectrum.
-    """
-    if m.size >= 4 and m.is_tridiagonal:
-        return SpectralResult.from_eigenvalues(midgap_levels(m.offdiag)[0])
-    if m.size >= 4 and m.size % 2 == 0:
-        return SpectralResult.from_eigenvalues(ring_levels(m))
-    return eigenvalues_tridiagonal(m) if m.is_tridiagonal else eigenvalues_dense(m)
-
-
 def chain_gap(m: ChainMatrix) -> float:
-    """Spectral gap 2*min|E| of an open chain or a ring."""
-    return _midgap_spectrum(m).gap
+    """Spectral gap 2*min|E| of an open chain or a ring: `chain_gaps([m])[0]`."""
+    return chain_gaps([m])[0]
 
 
 def chain_gaps(chains) -> np.ndarray:
-    """`chain_gap` of each chain in a list, from one `midgap_levels` call.
+    """Spectral gaps 2*min|E| of a list of chain matrices; the one gap dispatch.
 
-    Open chains bring their own couplings and even rings their Golub-Kahan
-    chains, reduced _RING_CHUNK rings per kernel call to bound the buffers.
-    Both kernels' rows are independent, so each gap is bit-identical to
-    `chain_gap` of that chain alone.  Unless every chain has the same even
-    size N >= 4, the chains take `chain_gap` one by one.
+    Open chains and even rings of N >= 4 sites bisect only their four
+    central levels in one `midgap_levels` call: open chains bring their
+    couplings (gaps bit-identical to the full spectrum's), even rings their
+    Golub-Kahan chains, reduced _RING_CHUNK rings per call to bound the
+    buffers.  Rows are independent, so each gap is bit-identical to
+    `chain_gap` of that chain alone.  Chains under 4 sites and odd rings take
+    the whole spectrum; a list of mixed sizes or with an odd ring goes one
+    chain at a time.
     """
     chains = list(chains)
     size = chains[0].size if chains else 0
-    if size < 4 or size % 2 or any(m.size != size for m in chains):
-        return np.array([chain_gap(m) for m in chains])
+    if size < 4 or any(m.size != size or (size % 2 and not m.is_tridiagonal) for m in chains):
+        if len(chains) != 1:
+            return np.array([chain_gap(m) for m in chains])
+        full = eigenvalues_tridiagonal if chains[0].is_tridiagonal else eigenvalues_dense
+        return np.array([full(chains[0]).gap])
     couplings = np.array([m.offdiag for m in chains])
     rings = [k for k, m in enumerate(chains) if not m.is_tridiagonal]
     for start in range(0, len(rings), _RING_CHUNK):
@@ -624,9 +585,8 @@ def midgap_pair(
     """
     if not m.is_tridiagonal or m.size % 2 or m.size < 4:
         raise ValueError("midgap pair needs an open chain with an even number (>= 4) of sites")
-    if spectral is None:
-        spectral = _midgap_spectrum(m)
-    a, b = midgap_vectors(m.offdiag, spectral.eigenvalues[None, :])
+    levels = midgap_levels(m.offdiag) if spectral is None else spectral.eigenvalues[None, :]
+    a, b = midgap_vectors(m.offdiag, levels)
     v_plus = np.column_stack((a[0], b[0])).ravel() / math.sqrt(2.0)
     return v_plus * np.tile([1.0, -1.0], m.size // 2), v_plus
 

@@ -92,13 +92,11 @@ class TestZ1:
     def test_closed_form_small_gamma_limit(self):
         assert abs(z1_flat_closed_form(1e-4, 1.0)) <= 1e-7
 
-    def test_removable_singularity_flagged(self):
-        u = 3.0
-        gamma = u / math.sqrt(3.0)
-        if math.sqrt(3.0) * gamma == u:
-            with pytest.warns(UserWarning):
-                val = z1_flat_closed_form(gamma, u)
-            assert val == pytest.approx(math.log(2.0) - 1.0, abs=1e-12)
+    def test_value_where_the_support_touches_zero(self):
+        # sqrt(3)*gamma = u exactly: E[log|1 + s|] over [-1, 1] is ln 2 - 1
+        gamma, u = 1.0, math.sqrt(3.0)
+        assert math.sqrt(3.0) * gamma == u
+        assert z1_flat_closed_form(gamma, u) == pytest.approx(math.log(2.0) - 1.0, rel=1e-15)
 
     def test_unnormalized_density_rejected(self):
         class Bad:
@@ -138,7 +136,8 @@ class TestZ1ClosedForm:
             for u in (1.0, 1.7, -1.0)
             for gamma in (1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.6, 1.0, 1.5, 2.0)
         ]
-        + [(_SWITCH_GAMMA * (1.0 + d), 1.0) for d in (-1e-12, 0.0, 1e-12)],
+        + [(_SWITCH_GAMMA * (1.0 + d), 1.0) for d in (-1e-12, 0.0, 1e-12)]
+        + [(_TOUCH_GAMMA + d, 1.0) for d in (-1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5)],
     )
     def test_matches_mpmath(self, gamma, u):
         expected = z1_mpmath(gamma, u)

@@ -341,6 +341,38 @@ class TestWorkerPool:
             p.is_alive() for p in executor._processes.values()
         )
 
+    def test_pool_processes_capped_at_cpu_count(self, monkeypatch):
+        # a recording stand-in for the executor, so no process starts
+        made = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self, wait=True):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        params = ChainParams(n=10, u=1.0, w=0.9)
+        dist = FlatDistribution(gamma=0.4, u=1.0)
+        r = ensemble._INDEX_BLOCK + 1  # two blocks: the smallest pooled ensemble
+        alone = estimate_mean_nu(params, dist, r, 5, threads=1)
+        many = estimate_mean_nu(params, dist, r, 5, threads=100_000)
+        with ensemble.worker_pool(100_000):
+            shared = estimate_mean_nu(params, dist, r, 5, threads=100_000)
+        assert made == [2, 2]
+        assert many == alone and shared == alone
+
     def test_pool_starts_only_when_needed(self):
         params = ChainParams(n=10, u=1.0, w=0.9)
         with ensemble.worker_pool(2):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import eigvals_ql, householder_bidiagonalize, jacobi_eigenvalues
+from oracles import eigvals_sturm as oracle_eigvals
 from sshlab import spectrum
 from sshlab.ensemble import FlatDistribution, sample_realization
 from sshlab.model import (
@@ -28,16 +29,15 @@ from sshlab.spectrum import (
     midgap_pair,
     midgap_vectors,
     ring_levels,
-    sturm_count,
 )
 
 EPS = np.finfo(float).eps
 
 
 def central_entries(e):
-    """Entries N/2-2 .. N/2+1 of the full bisected spectrum of one open chain."""
+    """Entries N/2-2 .. N/2+1 of the oracle's full bisected spectrum of one open chain."""
     half = (len(e) + 1) // 2
-    return eigvals_sturm(np.zeros(len(e) + 1), e)[half - 2 : half + 2]
+    return oracle_eigvals(np.zeros(len(e) + 1), e)[half - 2 : half + 2]
 
 
 def ring(couplings, w):
@@ -138,10 +138,20 @@ class TestTridiagonal:
         e = rng.standard_normal(8)
         ev = eigvals_sturm(d, e)
         e2 = e * e
-        assert sturm_count(d, e2, np.array([ev[0] - 1.0]))[0] == 0
-        assert sturm_count(d, e2, np.array([ev[-1] + 1.0]))[0] == 9
         mid = 0.5 * (ev[3] + ev[4])
-        assert sturm_count(d, e2, np.array([mid]))[0] == 4
+        xs = np.array([[ev[0] - 1.0, ev[-1] + 1.0, mid]])
+        assert list(spectrum._sturm_count(e2[None, :], xs, d[None, :])[0]) == [0, 9, 4]
+
+    def test_general_diagonal_bit_identical_to_oracle(self):
+        rng = np.random.default_rng(26)
+        for k in range(60):
+            n = int(rng.integers(2, 81))
+            d = rng.standard_normal(n)
+            e = rng.uniform(-2.0, 2.0, n - 1)
+            if k % 3:
+                # a zero coupling, or one whose square underflows to zero
+                e[rng.integers(n - 1)] = 0.0 if k % 3 == 1 else 1e-170
+            assert eigvals_sturm(d, e).tobytes() == oracle_eigvals(d, e).tobytes()
 
 
 class TestMidgapLevels:
@@ -166,7 +176,7 @@ class TestMidgapLevels:
     def test_two_dimers_give_the_whole_spectrum(self):
         m = build_chain(ChainParams(n=2, u=1.0, w=0.6), Realization(couplings=[0.9, 1.3]))
         got = midgap_levels(m.offdiag)[0]
-        np.testing.assert_array_equal(got, eigenvalues_tridiagonal(m).eigenvalues)
+        np.testing.assert_array_equal(got, oracle_eigvals(np.zeros(4), m.offdiag))
 
     def test_zero_coupling_takes_clamped_route(self):
         rng = np.random.default_rng(23)
@@ -177,6 +187,19 @@ class TestMidgapLevels:
         for row, levels in zip(e, got):
             np.testing.assert_array_equal(levels, central_entries(row))
         assert got[1, 1] == pytest.approx(-got[1, 2], abs=1e-13)
+
+    def test_subnormal_chains_alone_and_in_a_block(self):
+        # couplings near 1e-309 square to zero and leave tol = 1e-14*bound a
+        # few subnormal ulps, so some intervals reach it a step before those
+        # of the normal-scale chain in their block, which bisects on
+        rng = np.random.default_rng(27)
+        normal = rng.uniform(0.3, 1.7, 11)
+        normal[4] = 0.0
+        tiny = np.geomspace(1e-310, 1e-308, 40)[:, None] * rng.uniform(0.3, 1.7, (40, 11))
+        block = midgap_levels(np.vstack((normal, tiny)))
+        for row, levels in zip(tiny, block[1:]):
+            assert levels.tobytes() == midgap_levels(row)[0].tobytes()
+            assert levels.tobytes() == central_entries(row).tobytes()
 
     def test_deep_topological_chain_underflowing_gap(self):
         # w/u = 2 over 2000 dimers: E_min ~ 2**-2000 underflows to zero
@@ -198,7 +221,7 @@ class TestMidgapLevels:
         got = midgap_levels(m.offdiag)[0]
         np.testing.assert_array_equal(got, central_entries(m.offdiag))
         assert abs(got[3]) < 1e-3
-        full = np.abs(eigenvalues_tridiagonal(m).eigenvalues)
+        full = np.abs(oracle_eigvals(np.zeros(m.size), m.offdiag))
         mine = SpectralResult.from_eigenvalues(got)
         assert mine.gap == 2.0 * full.min()
         # the three smallest |E| that midgap_pair's isolation check reads
@@ -350,8 +373,10 @@ class TestRingGap:
         # two vanishing intra-dimer bonds cut the ring into two open chains,
         # and the bidiagonal form carries an exact zero
         calls = []
-        sturm = spectrum.eigvals_sturm
-        monkeypatch.setattr(spectrum, "eigvals_sturm", lambda d, e: calls.append(1) or sturm(d, e))
+        clamped = spectrum._sturm_count_clamped
+        monkeypatch.setattr(
+            spectrum, "_sturm_count_clamped", lambda *args: calls.append(1) or clamped(*args)
+        )
         m = ring(np.array([0.0, 1.0, 1.0, 1.0, 0.0, 1.0]), 0.9)
         assert_gap_matches_eigvalsh(m)
         assert calls
@@ -396,7 +421,8 @@ class TestRingGap:
         chains.append(build_chain(deep, Realization(np.full(2000, 1.0))).offdiag)
         for offdiag in chains:
             m = ChainMatrix(offdiag=offdiag)
-            assert chain_gap(m) == eigenvalues_tridiagonal(m).gap
+            full = SpectralResult.from_eigenvalues(oracle_eigvals(np.zeros(m.size), offdiag))
+            assert chain_gap(m) == full.gap
 
 
 class TestGolubKahanChains:
