@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "BornParams",
-    "BornFunctions",
     "bare_greens_function",
     "f_quadrature",
     "g_quadrature",
@@ -61,15 +60,6 @@ class BornParams:
     def delta(self) -> float:
         """Dimerization parameter u - w."""
         return self.u - self.w
-
-
-@dataclass(frozen=True)
-class BornFunctions:
-    """Self-energy scalars and the method that produced them."""
-
-    f: complex
-    g: complex
-    method: str
 
 
 def _gf_2x2(k: float, z: complex, u: complex, w: float) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Each experiment writes a data file whose `#` header embeds the resolved
 scientific configuration as JSON, plus a `.meta.json` sidecar with run
-provenance (wall time, requested threads, the worker count they resolved
-to and whether a process pool started, version).  Scheduling knobs (threads,
+provenance (wall time, requested threads, the processes a pool may start
+for them and whether one started, version).  Scheduling knobs (threads,
 output path) live only in the sidecar so reruns with a different thread
 count stay byte-identical in the data section.
 
@@ -184,7 +184,7 @@ def _write_outputs(cfg: RunConfig, columns, rows, wall_time: float, pool) -> Pat
         "threads": cfg.threads,
         "version": f"sshlab {__version__}",
         "wall_time_s": wall_time,
-        "workers": pool.threads,
+        "workers": pool.workers,
     }
     out.with_suffix(out.suffix + ".meta.json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
@@ -214,7 +214,7 @@ def run_invariant(cfg: RunConfig) -> tuple[list[str], list[list]]:
         real = ensemble.sample_realization(dist, cfg.n, cfg.master_seed, gi)
         wind = invariant.winding_integral(real, cfg.w, m_phi=cfg.m_phi)
         nu_cf = invariant.winding_closed_form(real, params)
-        log_xi = invariant.xi_value(real, params).log_xi
+        log_xi = invariant.xi_value(real, params)
         rows.append(
             [gamma, wind.nu, nu_cf, log_xi, wind.phase_samples, wind.total_phase]
         )
@@ -238,8 +238,8 @@ def run_mean_nu_curve(cfg: RunConfig) -> tuple[list[str], list[list]]:
 def run_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
     """Gap and index of one fixed-seed realization per (gamma, w) grid point.
 
-    The grid's rings take their gaps from one batched level call
-    (`spectrum.chain_gaps`).
+    The grid's chains take their gaps from one batched level call
+    (`spectrum.chain_gaps`), each ring closed by its own w.
     """
     grid, chains = [], []
     for gi, gamma in enumerate(cfg.gamma_grid):
@@ -253,8 +253,10 @@ def run_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
             params = replace(cfg.chain_params(), w=w)
             grid.append((gamma, w, real, params, w0, w0_weak))
             chains.append(model.build_chain(params, real))
+    offdiag = np.array([m.offdiag for m in chains])
+    corners = None if chains[0].is_tridiagonal else np.array([m.corner for m in chains])
     rows = []
-    for point, chain, gap in zip(grid, chains, spectrum.chain_gaps(chains)):
+    for point, chain, gap in zip(grid, chains, spectrum.chain_gaps(offdiag, corners)):
         gamma, w, real, params, w0, w0_weak = point
         try:
             nu = invariant.winding_closed_form(real, params)
@@ -431,20 +433,19 @@ def run_selftest() -> int:
         )
     )
     p_mc, dist = model.ChainParams(n=10, u=1.0, w=1.0), ensemble.FlatDistribution(0.4, 1.0)
-    (block,) = ensemble._sweep_blocks([(dist, 7)], 8, 8)
-    acc, _ = ensemble._log_ratio_block(p_mc, block)
+    acc, _ = ensemble._log_ratio_block(p_mc, [(dist, 7)], 8, range(8))
     block_nu = invariant.index_from_log_xi(invariant.log_xi_offset(p_mc) + acc)
     rows = [ensemble.sample_realization(dist, 10, 7, i) for i in range(8)]
     row_nu = [invariant.winding_closed_form(real, p_mc) for real in rows]
     checks.append(("block index", np.array_equal(block_nu, row_nu)))
-    # one block across two gamma points gives each point's rows bit for bit
+    # the block of rows 1..4 crosses two gamma points and gives each point's rows bit for bit
     points = [(ensemble.FlatDistribution(0.3, 1.0), 3), (ensemble.FlatDistribution(1.2, 1.0), 4)]
-    (mixed,) = ensemble._sweep_blocks(points, 3, 6)
     same = True
     for bc, worker in (("open", ensemble._profile_block), ("periodic", ensemble._gap_block)):
         p_sw = model.ChainParams(n=6, u=1.0, w=0.9, bc=model.BoundaryCondition(bc))
-        alone = [worker(p_sw, ensemble._sweep_blocks([pt], 3, 3)[0])[0] for pt in points]
-        same = same and np.array_equal(worker(p_sw, mixed)[0], np.concatenate(alone))
+        alone = [worker(p_sw, [pt], 3, range(3))[0] for pt in points]
+        mixed = worker(p_sw, points, 3, range(1, 5))[0]
+        same = same and np.array_equal(mixed, np.concatenate(alone)[1:5])
     checks.append(("sweep block", same))
     checks.append(
         (

@@ -4,11 +4,13 @@ Every realization draws from its own counter-based stream keyed by
 (master_seed, index), re-keying one Philox per process, so realization k is
 bit-identical no matter how many workers evaluate the ensemble or in which
 order they run.  A sweep is a list of points (distribution, seed) that
-share chain parameters and a realization count r; its rows are the
-(point, index) pairs.  Each estimator maps fixed blocks of consecutive rows,
-sized by the sweep's shape only, over worker processes (the kernels are CPU
-bound in Python loops), so one kernel call serves rows of several points,
-and the reduction splits the results by point in index order.  A one-point
+share chain parameters and a realization count r; its row k is realization
+k % r of point k // r.  A block is a `range` of consecutive rows, sized by
+the sweep's shape only.  Each estimator maps its blocks over worker
+processes (the kernels are CPU bound in Python loops); a worker samples its
+block's rows into one array and keeps it an array down to the batched
+kernels, so one kernel call serves rows of several points, and the
+reduction splits the results by point in index order.  A one-point
 estimate is a sweep of one point.  The index of a block comes from its row
 sums acc_i = sum_j log|c_ij/u|.
 """
@@ -18,14 +20,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .invariant import index_from_log_xi, log_ratio_sums, log_xi_offset
-from .model import BoundaryCondition, ChainParams, Realization, build_chain
+from .model import BoundaryCondition, ChainParams, Realization, chain_couplings
 from .spectrum import chain_gaps, midgap_levels, midgap_vectors
 
 __all__ = [
@@ -135,17 +137,23 @@ def _stream(master_seed: int, index: int) -> np.random.Generator:
     return _GENERATOR
 
 
-def _sample_block(dist: FlatDistribution, n: int, master_seed: int, indices) -> np.ndarray:
-    """The n couplings of each realization in `indices`, one row each.
+def _sample_block(points, r: int, n: int, rows: range) -> np.ndarray:
+    """The n couplings of the sweep rows `rows`, one row each.
 
-    Each row takes its stream's first n standard uniforms, and one
-    `dist.couplings` call maps the block onto the support: row for row
-    the draws of `dist.sample` from that stream.
+    Row k is realization k % r of point k // r, `points` holding
+    (dist, master_seed) pairs.  Each row takes its stream's first n
+    standard uniforms, and one `dist.couplings` call per point maps that
+    point's rows onto its support: row for row the draws of `dist.sample`
+    from that stream.
     """
-    block = np.empty((len(indices), n))
-    for row, i in zip(block, indices):
-        _stream(master_seed, i).random(out=row)
-    return dist.couplings(block)
+    block = np.empty((len(rows), n))
+    for p in range(rows.start // r, (rows.stop - 1) // r + 1):
+        dist, seed = points[p]
+        part = slice(max(rows.start, p * r) - rows.start, min(rows.stop, p * r + r) - rows.start)
+        for row, k in zip(block[part], rows[part]):
+            _stream(seed, k - p * r).random(out=row)
+        block[part] = dist.couplings(block[part])
+    return block
 
 
 def sample_realization(
@@ -154,52 +162,22 @@ def sample_realization(
     """Draw the n couplings of realization `index` from its own stream."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    couplings = _sample_block(dist, n, master_seed, [index])[0]
+    couplings = _sample_block([(dist, master_seed)], index + 1, n, range(index, index + 1))[0]
     return Realization(couplings=couplings, master_seed=master_seed, index=index)
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """The realizations `indices` of one sweep point, consecutive rows of a block."""
-
-    dist: FlatDistribution
-    master_seed: int
-    indices: range
-
-
-def _block_couplings(segments, n: int) -> np.ndarray:
-    """The couplings of a block's rows, segment after segment."""
-    return np.concatenate([_sample_block(s.dist, n, s.master_seed, s.indices) for s in segments])
-
-
-def _sweep_blocks(points, r: int, block: int) -> list[tuple[_Segment, ...]]:
-    """The sweep's rows cut into blocks of `block` consecutive rows.
-
-    Row k is realization k % r of point k // r; the last block holds the
-    remainder, and a block may cross from one point into the next.
-    """
-    total = len(points) * r
-    blocks = []
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        segments = []
-        for p in range(start // r, (stop - 1) // r + 1):
-            dist, seed = points[p]
-            indices = range(max(start - p * r, 0), min(stop - p * r, r))
-            segments.append(_Segment(dist, seed, indices))
-        blocks.append(tuple(segments))
-    return blocks
 
 
 @dataclass
 class _RunPool:
     """A process pool shared by the estimator calls of one run.
 
-    `sweeps` logs each sweep mapped while the pool is open: its quantity,
-    block count and whether its blocks went to the pool.
+    `threads` is the resolved worker count and `workers` the processes the
+    pool may start, never more than there are CPUs.  `sweeps` logs each
+    sweep mapped while the pool is open: its quantity, block count and
+    whether its blocks went to the pool.
     """
 
     threads: int
+    workers: int
     executor: ProcessPoolExecutor | None = None
     sweeps: list[dict] = field(default_factory=list)
 
@@ -214,10 +192,10 @@ def worker_pool(threads: int):
     The pool starts at the first call that needs it; on exit it is shut
     down and its workers joined.  Estimators called outside, or with
     another worker count, open a pool of their own per call.  Yields the
-    slot: `threads` is the resolved worker count, `executor` stays set once
-    the pool has started, and `sweeps` logs every sweep made inside.
+    slot (`_RunPool`); its `executor` stays set once the pool has started.
     """
-    slot = _RunPool(_resolve_threads(threads))
+    threads = threads or os.cpu_count() or 1
+    slot = _RunPool(threads, min(threads, os.cpu_count() or 1))
     _run_pools.append(slot)
     try:
         yield slot
@@ -227,20 +205,18 @@ def worker_pool(threads: int):
             slot.executor.shutdown(wait=True)
 
 
-def _resolve_threads(threads: int) -> int:
-    return threads or os.cpu_count() or 1
-
-
 def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: int) -> list:
-    """worker(params, segments) over a sweep's rows in blocks, split by point.
+    """worker(params, points, r, rows) over a sweep's rows in blocks, split by point.
 
-    `points` holds (dist, master_seed) pairs.  Blocks hold `block` rows
-    (`_sweep_blocks`), a size the worker count never changes, and each block
-    is farmed out whole, so every worker call sees the same rows with any
-    number of workers.  A sweep of one block, or a run with one worker,
-    stays in-process.  A pool never starts more processes than there are
-    CPUs, whatever `threads` asks for.  The worker returns a tuple of per-row
-    arrays; so does this map, each reshaped to (point, index, ...).
+    `points` holds (dist, master_seed) pairs.  Each block is a range of
+    `block` consecutive rows (the last holds the remainder, and a block may
+    cross from one point into the next), a size the worker count never
+    changes, and each block is farmed out whole, so every worker call sees
+    the same rows with any number of workers.  A sweep of one block, or a
+    run with one worker, stays in-process; the others go to the open
+    `worker_pool` of their worker count, or to one opened for the sweep.
+    The worker returns a tuple of per-row arrays; so does this map, each
+    reshaped to (point, index, ...).
     """
     if not points:
         raise ValueError("a sweep needs at least one point")
@@ -249,9 +225,10 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
             raise ValueError(
                 f"distribution center {dist.u} does not match chain coupling {params.u}"
             )
-    worker = partial(worker, params)
-    blocks = _sweep_blocks(points, r, block)
-    threads = _resolve_threads(threads)
+    worker = partial(worker, params, points, r)
+    total = len(points) * r
+    blocks = [range(start, min(start + block, total)) for start in range(0, total, block)]
+    threads = threads or os.cpu_count() or 1
     pooled = threads > 1 and len(blocks) > 1
     slot = _run_pools[-1] if _run_pools else None
     if slot is not None:
@@ -259,16 +236,13 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     if not pooled:
         results = [worker(b) for b in blocks]
     else:
-        chunksize = max(1, len(blocks) // (threads * 4))
-        # a forked pool starts all its workers at its first task
-        workers = min(threads, os.cpu_count() or 1)
-        if slot is not None and slot.threads == threads:
-            if slot.executor is None:
-                slot.executor = ProcessPoolExecutor(max_workers=workers)
-            results = list(slot.executor.map(worker, blocks, chunksize=chunksize))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(worker, blocks, chunksize=chunksize))
+        shared = slot is not None and slot.threads == threads
+        with nullcontext(slot) if shared else worker_pool(threads) as pool:
+            if pool.executor is None:
+                # a forked pool starts all its workers at its first task
+                pool.executor = ProcessPoolExecutor(max_workers=pool.workers)
+            chunksize = max(1, len(blocks) // (threads * 4))
+            results = list(pool.executor.map(worker, blocks, chunksize=chunksize))
     return [
         np.concatenate(rows).reshape(len(points), r, *rows[0].shape[1:])
         for rows in zip(*results)
@@ -282,38 +256,28 @@ def _mean_stderr(x: np.ndarray):
     return x.mean(axis=0), se
 
 
-def _log_ratio_block(params, segments, redraw_zeros=False):
+def _log_ratio_block(params, points, r, rows, redraw_zeros=False):
     """Row sums acc_i = sum_j log|c_ij/u| of a block, and the redraws per row.
 
     With redraw_zeros, a row holding an exactly zero coupling is drawn
     again from its own stream, continuing where that stream left off,
     until it holds none; each redraw is counted.
     """
-    couplings = _block_couplings(segments, params.n)
+    couplings = _sample_block(points, r, params.n, rows)
     redraws = np.zeros(len(couplings), dtype=np.int64)
     if redraw_zeros:
-        rows = [(s, i) for s in segments for i in s.indices]
         for k in np.flatnonzero(np.any(couplings == 0.0, axis=1)):
-            segment, index = rows[k]
-            rng = _stream(segment.master_seed, index)
-            row = segment.dist.sample(rng, params.n)  # the draw that held a zero
+            dist, seed = points[rows[k] // r]
+            rng = _stream(seed, rows[k] % r)
+            row = dist.sample(rng, params.n)  # the draw that held a zero
             while np.any(row == 0.0):
                 redraws[k] += 1
-                row = segment.dist.sample(rng, params.n)
+                row = dist.sample(rng, params.n)
             couplings[k] = row
     return log_ratio_sums(couplings, params.u), redraws
 
 
-def _chains(params, segments):
-    couplings = _block_couplings(segments, params.n)
-    rows = [(s.master_seed, i) for s in segments for i in s.indices]
-    return [
-        build_chain(params, Realization(couplings=c, master_seed=seed, index=i))
-        for c, (seed, i) in zip(couplings, rows)
-    ]
-
-
-def _profile_block(params, segments):
+def _profile_block(params, points, r, rows):
     """Per-dimer weight of the +/- pair of states closest to zero energy.
 
     The block's chains share one call of each batched kernel.  Dimer i
@@ -321,15 +285,16 @@ def _profile_block(params, segments):
     `midgap_pair` builds them; each profile is normalized to total weight 2
     (two states).
     """
-    offdiag = np.array([m.offdiag for m in _chains(params, segments)])
+    offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows))
     a, b = midgap_vectors(offdiag, midgap_levels(offdiag))
     per_dimer = (a / math.sqrt(2.0)) ** 2 + (b / math.sqrt(2.0)) ** 2
     return (per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True)),)
 
 
-def _gap_block(params, segments):
+def _gap_block(params, points, r, rows):
     """The gaps of a block's chains from one batched level call (`chain_gaps`)."""
-    return (chain_gaps(_chains(params, segments)),)
+    offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows))
+    return (chain_gaps(offdiag, params.corner),)
 
 
 def sweep_mean_nu(

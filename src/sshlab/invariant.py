@@ -23,7 +23,6 @@ __all__ = [
     "CriticalRealizationError",
     "UnresolvedWindingError",
     "WindingResult",
-    "XiValue",
     "winding_integral",
     "winding_closed_form",
     "index_from_log_xi",
@@ -55,17 +54,6 @@ class WindingResult:
     total_phase: float
 
 
-@dataclass(frozen=True)
-class XiValue:
-    """log of the gap-criterion ratio xi = |prod u_i| / |w|^n."""
-
-    log_xi: float
-
-    @property
-    def xi(self) -> float:
-        return math.exp(self.log_xi)
-
-
 def log_xi_offset(params: ChainParams) -> float:
     """n*log|u/w|, the part of log xi that every realization shares."""
     if params.u == 0.0:
@@ -93,17 +81,20 @@ def index_from_log_xi(log_xi) -> np.ndarray:
     return np.where(log_xi == 0.0, math.nan, np.where(log_xi < 0.0, 1.0, 0.0))
 
 
-def xi_value(r: Realization, params: ChainParams) -> XiValue:
-    """log xi = n*log|u/w| + sum log|u_i/u|, accumulated in log space."""
+def xi_value(r: Realization, params: ChainParams) -> float:
+    """log xi = n*log|u/w| + sum log|u_i/u|, accumulated in log space.
+
+    xi = |prod u_i| / |w|^n is the gap-criterion ratio.
+    """
     offset = log_xi_offset(params)
     if r.n != params.n:
         raise ValueError(f"realization has {r.n} couplings, params expect {params.n}")
-    return XiValue(log_xi=float(offset + log_ratio_sums(r.couplings, params.u)))
+    return float(offset + log_ratio_sums(r.couplings, params.u))
 
 
 def winding_closed_form(r: Realization, params: ChainParams) -> int:
     """Index from the sign of log xi (`index_from_log_xi`) of one realization."""
-    nu = index_from_log_xi(xi_value(r, params).log_xi)
+    nu = index_from_log_xi(xi_value(r, params))
     if np.isnan(nu):
         raise CriticalRealizationError("xi = 1 exactly: gapless realization")
     return int(nu)

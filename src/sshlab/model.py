@@ -22,6 +22,7 @@ __all__ = [
     "FluxMatrix",
     "build_chain",
     "build_flux_matrix",
+    "chain_couplings",
     "dispersion",
     "coherence_length",
 ]
@@ -44,6 +45,11 @@ class ChainParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least 2 dimers, got n={self.n}")
+
+    @property
+    def corner(self) -> float | None:
+        """The bond w closing a ring, or None for an open chain."""
+        return self.w if self.bc is BoundaryCondition.PERIODIC else None
 
 
 @dataclass(frozen=True)
@@ -183,16 +189,24 @@ class FluxMatrix:
         return lp, sp, lq, sq
 
 
+def chain_couplings(params: ChainParams, couplings: np.ndarray) -> np.ndarray:
+    """Off-diagonals [u1, w, u2, w, ..., un] of a block of chains, one per row.
+
+    `couplings` (B, n) holds each realization's intra-dimer couplings; the
+    result (B, 2n-1) holds each chain's nearest-neighbour bonds.
+    """
+    n = params.n
+    if couplings.shape[1] != n:
+        raise ValueError(f"realization has {couplings.shape[1]} couplings, params expect {n}")
+    offdiag = np.empty((len(couplings), 2 * n - 1))
+    offdiag[:, 0::2] = couplings
+    offdiag[:, 1::2] = params.w
+    return offdiag
+
+
 def build_chain(params: ChainParams, r: Realization) -> ChainMatrix:
     """Assemble the 2n x 2n chain matrix for one realization."""
-    if r.n != params.n:
-        raise ValueError(f"realization has {r.n} couplings, params expect {params.n}")
-    n = params.n
-    offdiag = np.empty(2 * n - 1)
-    offdiag[0::2] = r.couplings
-    offdiag[1::2] = params.w
-    corner = params.w if params.bc is BoundaryCondition.PERIODIC else None
-    return ChainMatrix(offdiag=offdiag, corner=corner)
+    return ChainMatrix(offdiag=chain_couplings(params, r.couplings[None])[0], corner=params.corner)
 
 
 def build_flux_matrix(r: Realization, w: float, phi: float) -> FluxMatrix:

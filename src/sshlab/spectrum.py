@@ -12,10 +12,13 @@ its levels are the singular values +/-sigma of the n x n block Q.  Rings
 reach their gap through a batched Householder bidiagonalization of Q that
 updates only the window where fill-in lives; its Golub-Kahan tridiagonal
 is a zero-diagonal open chain with the same levels, and `midgap_levels`
-bisects it.  `chain_gaps` is the one gap dispatch (`chain_gap` is its
-one-chain call) and `gap_resolution` the smallest gap it resolves.  An
-open chain is bipartite too, with a lower-bidiagonal block B, and its
-midgap pair (a, +/-b)/sqrt(2) comes from B's smallest singular pair (a, b).
+bisects it.  `chain_gaps` takes the gaps of a block of open chains or even
+rings given as coupling arrays; `chain_gap(m)` is its one-row call for a
+single matrix, and the only route to the whole spectrum for the chains it
+rejects (under 4 sites, odd rings).  `gap_resolution` is the smallest gap
+they resolve.  An open chain is bipartite too, with a lower-bidiagonal
+block B, and its midgap pair (a, +/-b)/sqrt(2) comes from B's smallest
+singular pair (a, b).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "midgap_levels",
     "midgap_pair",
     "midgap_vectors",
-    "ring_levels",
 ]
 
 _EPS = np.finfo(float).eps
@@ -517,49 +519,43 @@ def eigenvalues_dense(m: ChainMatrix | np.ndarray) -> SpectralResult:
     return SpectralResult.from_eigenvalues(eigvals_sturm(*householder_tridiagonalize(dense)))
 
 
-def ring_levels(m: ChainMatrix) -> np.ndarray:
-    """Levels N/2-2 .. N/2+1 of an even ring of N >= 4 sites: -s2, -s1, s1, s2.
-
-    s1 <= s2 are the two smallest singular values of the sublattice block Q,
-    read from the Golub-Kahan chain of its bidiagonal form
-    (`_golub_kahan_chains`) by `midgap_levels`.  Neither the 2n x 2n matrix
-    nor an inertia count through the ring corner is formed.
-    """
-    if m.is_tridiagonal or m.size % 2 or m.size < 4:
-        raise ValueError("ring levels need a ring with an even number (>= 4) of sites")
-    return midgap_levels(_golub_kahan_chains(m.offdiag[0::2], m.offdiag[1::2], m.corner))[0]
-
-
 def chain_gap(m: ChainMatrix) -> float:
-    """Spectral gap 2*min|E| of an open chain or a ring: `chain_gaps([m])[0]`."""
-    return chain_gaps([m])[0]
+    """Spectral gap 2*min|E| of one open chain or ring.
 
-
-def chain_gaps(chains) -> np.ndarray:
-    """Spectral gaps 2*min|E| of a list of chain matrices; the one gap dispatch.
-
-    Open chains and even rings of N >= 4 sites bisect only their four
-    central levels in one `midgap_levels` call: open chains bring their
-    couplings (gaps bit-identical to the full spectrum's), even rings their
-    Golub-Kahan chains, reduced _RING_CHUNK rings per call to bound the
-    buffers.  Rows are independent, so each gap is bit-identical to
-    `chain_gap` of that chain alone.  Chains under 4 sites and odd rings take
-    the whole spectrum; a list of mixed sizes or with an odd ring goes one
-    chain at a time.
+    Chains under 4 sites and odd rings take the whole spectrum; every other
+    chain is a one-row `chain_gaps` call.
     """
-    chains = list(chains)
-    size = chains[0].size if chains else 0
-    if size < 4 or any(m.size != size or (size % 2 and not m.is_tridiagonal) for m in chains):
-        if len(chains) != 1:
-            return np.array([chain_gap(m) for m in chains])
-        full = eigenvalues_tridiagonal if chains[0].is_tridiagonal else eigenvalues_dense
-        return np.array([full(chains[0]).gap])
-    couplings = np.array([m.offdiag for m in chains])
-    rings = [k for k, m in enumerate(chains) if not m.is_tridiagonal]
-    for start in range(0, len(rings), _RING_CHUNK):
-        rows = rings[start : start + _RING_CHUNK]
-        corners = [chains[k].corner for k in rows]
-        couplings[rows] = _golub_kahan_chains(couplings[rows, 0::2], couplings[rows, 1::2], corners)
+    if m.size < 4 or (m.size % 2 and not m.is_tridiagonal):
+        full = eigenvalues_tridiagonal if m.is_tridiagonal else eigenvalues_dense
+        return full(m).gap
+    return chain_gaps(m.offdiag[None, :], m.corner)[0]
+
+
+def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
+    """Spectral gaps 2*min|E| of a block of chains of N >= 4 sites, one per row.
+
+    `offdiag` (B, N-1) holds each chain's nearest-neighbour bonds.  With
+    `corner` None the chains are open; otherwise they are even rings closed
+    by `corner`, a scalar or one value per row.  One `midgap_levels` call
+    bisects the four central levels of every row: an open chain's own
+    (gaps bit-identical to the full spectrum's), a ring's Golub-Kahan chain,
+    reduced _RING_CHUNK rings per call to bound the buffers.  Rows are
+    independent, so each gap is bit-identical to `chain_gap` of that chain
+    alone.
+    """
+    couplings = np.array(offdiag, dtype=float, ndmin=2)
+    size = couplings.shape[1] + 1
+    if size < 4:
+        raise ValueError("chains need at least 4 sites")
+    if corner is not None:
+        if size % 2:
+            raise ValueError("odd rings have no Golub-Kahan chain; take chain_gap of each")
+        corner = np.broadcast_to(np.asarray(corner, dtype=float), len(couplings))
+        for start in range(0, len(couplings), _RING_CHUNK):
+            rows = slice(start, start + _RING_CHUNK)
+            couplings[rows] = _golub_kahan_chains(
+                couplings[rows, 0::2], couplings[rows, 1::2], corner[rows]
+            )
     return 2.0 * np.min(np.abs(midgap_levels(couplings)), axis=1)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -296,13 +297,23 @@ class TestRunners:
             paths[t] = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
             metas[t] = json.loads(paths[t].with_suffix(".csv.meta.json").read_text())
         assert (metas[1]["workers"], metas[1]["pool_started"]) == (1, False)
-        assert (metas[2]["workers"], metas[2]["pool_started"]) == (2, True)
+        assert metas[2]["workers"] == min(2, os.cpu_count() or 1) and metas[2]["pool_started"]
         assert metas[0]["threads"] == 0 and metas[0]["workers"] == (os.cpu_count() or 1)
         assert paths[1].read_bytes() == paths[2].read_bytes() == paths[0].read_bytes()
         replay = run_experiment(
             replace(read_embedded_config(paths[0]), out=str(tmp_path / "replay.csv"))
         )
         assert replay.read_bytes() == paths[1].read_bytes()
+
+    def test_sidecar_records_processes_the_pool_may_start(self, tmp_path, fake_pool):
+        # 2 x 600 index rows in blocks of 500: the sweep pools, on 2 CPUs
+        argv = ["mean-nu", "--n", "10", "--realizations", "600", "--gamma-grid", "0.2,0.4"]
+        for t in (1, 4):
+            assert main([*argv, "--threads", str(t), "--out", str(tmp_path / f"nu{t}.csv")]) == 0
+        meta = json.loads((tmp_path / "nu4.csv.meta.json").read_text())
+        assert (meta["threads"], meta["workers"], meta["pool_started"]) == (4, 2, True)
+        assert fake_pool == [2]
+        assert (tmp_path / "nu4.csv").read_bytes() == (tmp_path / "nu1.csv").read_bytes()
 
     def test_sidecar_records_sweeps(self, tmp_path):
         from dataclasses import replace
@@ -341,6 +352,20 @@ class TestRunners:
         path = run_experiment(cfg)
         rows = data_section(path).splitlines()
         assert len(rows) == 2
+
+
+def test_perfbench_layers_resolve():
+    # perfbench/spans.py wraps these functions by name for its traced runs
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for label, (module, names) in spans.LAYERS.items():
+        home = importlib.import_module(f"sshlab.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{label}: sshlab.{module}.{name}"
 
 
 class TestMainEntry:

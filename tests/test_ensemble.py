@@ -111,19 +111,27 @@ class TestSampler:
 
     @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1])
     def test_block_rows_match_reference_stream(self, seed):
-        indices = [0, 1, 2, 7, 1000, 2**40, 2**64 - 2, 2**64 - 1]
+        # (r, rows) with r realizations per point; at r = 2**64 the last
+        # range crosses from indices 2**64 - 2 and 2**64 - 1 of one point
+        # into 0 and 1 of the next, and at r = 5 from 3, 4 into 0, 1, 2
+        big = 2**64
+        blocks = [(big, range(0, 3)), (big, range(7, 8)), (big, range(1000, 1001))]
+        blocks += [(big, range(2**40, 2**40 + 1)), (big, range(big - 2, big + 2)), (5, range(3, 8))]
         for n in (1, 7, 301):
             for gamma in (0.0, 0.3, 1.4):
-                dist = FlatDistribution(gamma=gamma, u=1.0)
-                block = ensemble._sample_block(dist, n, seed, indices)
-                assert block.shape == (len(indices), n)
-                for row, i in zip(block, indices):
-                    reference = dist.sample(realization_rng(seed, i), n)
-                    assert row.tobytes() == reference.tobytes()
-                    alone = ensemble._sample_block(dist, n, seed, [i])[0]
-                    assert alone.tobytes() == row.tobytes()
-                    single = sample_realization(dist, n, seed, i).couplings
-                    assert single.tobytes() == row.tobytes()
+                dists = (FlatDistribution(gamma, 1.0), FlatDistribution(1.4 - gamma, 1.0))
+                points = [(dist, seed + p) for p, dist in enumerate(dists)]
+                for r, rows in blocks:
+                    block = ensemble._sample_block(points, r, n, rows)
+                    assert block.shape == (len(rows), n)
+                    for row, k in zip(block, rows):
+                        (dist, s), i = points[k // r], k % r
+                        reference = dist.sample(realization_rng(s, i), n)
+                        assert row.tobytes() == reference.tobytes()
+                        alone = ensemble._sample_block(points, r, n, range(k, k + 1))[0]
+                        assert alone.tobytes() == row.tobytes()
+                        single = sample_realization(dist, n, s, i).couplings
+                        assert single.tobytes() == row.tobytes()
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -341,28 +349,7 @@ class TestWorkerPool:
             p.is_alive() for p in executor._processes.values()
         )
 
-    def test_pool_processes_capped_at_cpu_count(self, monkeypatch):
-        # a recording stand-in for the executor, so no process starts
-        made = []
-
-        class FakeExecutor:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-            def shutdown(self, wait=True):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", FakeExecutor)
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+    def test_pool_processes_capped_at_cpu_count(self, fake_pool):
         params = ChainParams(n=10, u=1.0, w=0.9)
         dist = FlatDistribution(gamma=0.4, u=1.0)
         r = ensemble._INDEX_BLOCK + 1  # two blocks: the smallest pooled ensemble
@@ -370,7 +357,7 @@ class TestWorkerPool:
         many = estimate_mean_nu(params, dist, r, 5, threads=100_000)
         with ensemble.worker_pool(100_000):
             shared = estimate_mean_nu(params, dist, r, 5, threads=100_000)
-        assert made == [2, 2]
+        assert fake_pool == [2, 2]
         assert many == alone and shared == alone
 
     def test_pool_starts_only_when_needed(self):
@@ -460,12 +447,14 @@ class TestSweep:
         ],
     )
     def test_matches_one_point_estimates(self, sweep, one_point, params, points, r):
-        blocks = ensemble._sweep_blocks(points, r, {
+        block = {
             sweep_mean_nu: ensemble._INDEX_BLOCK,
             sweep_wavefunction_profile: ensemble._PROFILE_BLOCK,
             sweep_mean_gap: ensemble._GAP_BLOCK,
-        }[sweep])
-        assert any(len(b) > 1 for b in blocks) and len(blocks) > 1
+        }[sweep]
+        starts = range(0, len(points) * r, block)
+        assert len(starts) > 1
+        assert any(k // r != (min(k + block, len(points) * r) - 1) // r for k in starts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             alone = [one_point(params, dist, r, seed, threads=1) for dist, seed in points]
@@ -476,16 +465,18 @@ class TestSweep:
                     assert_same_estimate(a, b)
 
     def test_blocks_cover_rows_in_order(self):
+        params = ChainParams(n=2, u=1.0, w=0.9)
         points = [(FlatDistribution(0.1 * p, 1.0), p) for p in range(3)]
         for r, block in ((5, 4), (4, 4), (7, 3), (2, 500)):
-            rows = [
-                (s.master_seed, i)
-                for b in ensemble._sweep_blocks(points, r, block)
-                for s in b
-                for i in s.indices
-            ]
-            assert rows == [(p, i) for p in range(3) for i in range(r)]
-            sizes = [sum(len(s.indices) for s in b) for b in ensemble._sweep_blocks(points, r, block)]
+            seen = []
+
+            def worker(_params, _points, _r, rows):
+                seen.append(rows)
+                return (np.array(rows),)
+
+            (rows,) = ensemble._map_sweep("rows", worker, params, points, r, block, 1)
+            assert rows.tolist() == [[p * r + i for i in range(r)] for p in range(3)]
+            sizes = [len(b) for b in seen]
             assert all(size == block for size in sizes[:-1]) and 0 < sizes[-1] <= block
 
     def test_error_paths_fire_per_point(self):

@@ -10,6 +10,7 @@ from sshlab.model import (
     Realization,
     build_chain,
     build_flux_matrix,
+    chain_couplings,
     coherence_length,
     dispersion,
 )
@@ -41,6 +42,16 @@ class TestBuildChain:
         params = ChainParams(n=3, u=1.0, w=0.5)
         with pytest.raises(ValueError):
             build_chain(params, Realization(couplings=[1.0, 1.0]))
+        with pytest.raises(ValueError):
+            chain_couplings(params, np.ones((4, 2)))
+
+    def test_block_rows_are_each_realizations_chain(self):
+        params = ChainParams(n=5, u=1.0, w=0.7, bc=BoundaryCondition.PERIODIC)
+        couplings = np.random.default_rng(4).uniform(0.5, 1.5, (3, 5))
+        block = chain_couplings(params, couplings)
+        assert block.shape == (3, 9)
+        for row, c in zip(block, couplings):
+            assert row.tobytes() == build_chain(params, Realization(couplings=c)).offdiag.tobytes()
 
     def test_clean_periodic_spectrum_equals_dispersion_grid(self):
         # dense Jacobi oracle against the analytic band energies, small rings

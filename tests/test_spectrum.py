@@ -28,7 +28,6 @@ from sshlab.spectrum import (
     midgap_levels,
     midgap_pair,
     midgap_vectors,
-    ring_levels,
 )
 
 EPS = np.finfo(float).eps
@@ -48,6 +47,11 @@ def ring(couplings, w):
 def golub_kahan_chain(m):
     """One ring's Golub-Kahan chain from a one-row kernel call."""
     return spectrum._golub_kahan_chains(m.offdiag[0::2], m.offdiag[1::2], m.corner)
+
+
+def ring_block(rings):
+    """The rings' couplings as one (B, N-1) array and their per-row corners."""
+    return np.array([m.offdiag for m in rings]), np.array([m.corner for m in rings])
 
 
 def sublattice_block(m):
@@ -384,7 +388,7 @@ class TestRingGap:
     def test_deep_ring_stays_finite(self):
         # w/u = 2 over 2000 dimers: |w/u|^n is far past 1e308
         n, u, w = 2000, 1.0, 2.0
-        levels = ring_levels(ring(np.full(n, u), w))
+        levels = midgap_levels(golub_kahan_chain(ring(np.full(n, u), w)))[0]
         bands = np.sort(-dispersion(u, w, 2.0 * np.pi * np.arange(n) / n))
         expected = [-bands[1], -bands[0], bands[0], bands[1]]
         tol = 8.0 * 2 * n * EPS * (u + w)
@@ -395,13 +399,12 @@ class TestRingGap:
         m = ring(rng.uniform(0.3, 1.7, 30), 0.9)
         ev = np.linalg.eigvalsh(m.to_dense())
         tol = 8.0 * m.size * EPS * float(np.max(np.abs(ev)))
-        np.testing.assert_allclose(ring_levels(m), ev[28:32], rtol=0.0, atol=tol)
+        levels = midgap_levels(golub_kahan_chain(m))[0]
+        np.testing.assert_allclose(levels, ev[28:32], rtol=0.0, atol=tol)
 
     def test_odd_ring_keeps_dense_route(self):
         m = ChainMatrix(offdiag=[1.0, 0.7, 1.3, 0.9], corner=0.8)
         assert chain_gap(m) == eigenvalues_dense(m).gap
-        with pytest.raises(ValueError):
-            ring_levels(m)
 
     def test_open_chain_gap_bit_identical_to_full_bisection(self):
         rng = np.random.default_rng(21)
@@ -473,7 +476,7 @@ class TestGolubKahanChains:
         for gamma in (0.3, 0.4, 0.55, 0.8):
             half = math.sqrt(3.0) * gamma
             rings += [ring(rng.uniform(1.0 - half, 1.0 + half, 300), 0.8) for _ in range(2)]
-        gaps = chain_gaps(rings)
+        gaps = chain_gaps(*ring_block(rings))
         for m, gap in zip(rings, gaps):
             assert gap == assert_gap_matches_eigvalsh(m)[0]
 
@@ -491,8 +494,32 @@ class TestGolubKahanChains:
     def test_chunked_block_gives_the_bits_of_each_ring_alone(self):
         rng = np.random.default_rng(55)
         rings = [ring(rng.uniform(0.0, 2.0, 20), 0.8) for _ in range(2 * spectrum._RING_CHUNK + 3)]
-        rings[5] = ChainMatrix(offdiag=rings[5].offdiag)  # an open chain among the rings
-        assert list(chain_gaps(rings)) == [chain_gap(m) for m in rings]
+        offdiag, _ = ring_block(rings)
+        alone = [chain_gap(m) for m in rings]
+        assert list(chain_gaps(offdiag, 0.8)) == alone
+
+    def test_corner_per_row_gives_the_bits_of_each_ring_alone(self):
+        # the phase-diagram block: one ring per (gamma, w), each closed by its own w
+        rng = np.random.default_rng(57)
+        rings = [
+            ring(rng.uniform(1.0 - math.sqrt(3.0) * g, 1.0 + math.sqrt(3.0) * g, 20), w)
+            for g in (0.0, 0.4, 0.9)
+            for w in np.linspace(0.5, 1.1, 2 * spectrum._RING_CHUNK // 3 + 1)
+        ]
+        offdiag, corners = ring_block(rings)
+        assert list(chain_gaps(offdiag, corners)) == [chain_gap(m) for m in rings]
+        # a scalar corner closes every row alike, and no corner leaves them open
+        for corner in (0.8, None):
+            alone = [chain_gap(ChainMatrix(offdiag=row, corner=corner)) for row in offdiag]
+            assert list(chain_gaps(offdiag, corner)) == alone
+
+    def test_rejects_odd_rings_and_chains_below_four_sites(self):
+        with pytest.raises(ValueError, match="odd rings"):
+            chain_gaps(np.full((2, 4), 0.9), 0.9)
+        for size in (2, 3):
+            for corner in (None, 0.9):
+                with pytest.raises(ValueError, match="at least 4 sites"):
+                    chain_gaps(np.full((2, size - 1), 0.9), corner)
 
 
 def mixed_gamma_block(bc, n=12, per=3):
@@ -526,9 +553,9 @@ class TestRowIndependence:
         rings = mixed_gamma_block(BoundaryCondition.PERIODIC)
         chains = np.vstack([golub_kahan_chain(m) for m in rings])
         levels = midgap_levels(chains)
-        gaps = chain_gaps(rings)
+        gaps = chain_gaps(*ring_block(rings))
         for k, m in enumerate(rings):
-            assert ring_levels(m).tobytes() == levels[k].tobytes()
+            assert midgap_levels(golub_kahan_chain(m))[0].tobytes() == levels[k].tobytes()
             assert chain_gap(m) == gaps[k]
 
     def test_ring_alone_and_in_a_mixed_gamma_block_of_four(self):
@@ -543,13 +570,6 @@ class TestRowIndependence:
         )
         for k, m in enumerate(block):
             assert golub_kahan_chain(m)[0].tobytes() == chains[k].tobytes()
-
-    def test_chain_gaps_falls_back_per_chain(self):
-        # odd rings have no Golub-Kahan chain; mixed sizes share no kernel call
-        odd = ChainMatrix(offdiag=np.full(4, 0.9), corner=0.9)
-        mixed = [random_chain(np.random.default_rng(3), n=n)[1] for n in (4, 6)]
-        for chains in ([odd, odd], mixed):
-            assert list(chain_gaps(chains)) == [chain_gap(m) for m in chains]
 
 
 class TestDense:
