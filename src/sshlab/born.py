@@ -1,14 +1,16 @@
 """Disorder-averaged Green function machinery in the first Born approximation.
 
 Bare momentum-space propagator of the clean chain, the two self-energy
-scalars f (frequency shift) and g (coupling shift) by Brillouin-zone
-quadrature and in their narrow-peak closed forms, the averaged propagator
-built from them, and the midgap density of states with its band-touching
-condition.
+scalars f (frequency shift) and g (coupling shift) both as exact
+Brillouin-zone averages (`f_quadrature`, `g_quadrature`: the integrals of
+rational functions of cos k are elementary, so no quadrature runs) and in
+their midgap narrow-peak forms, the averaged propagator built from them,
+and the midgap density of states with its band-touching condition.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,8 +31,6 @@ __all__ = [
 _SIGMA_0 = np.eye(2, dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-_QUAD_ABS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,84 +78,48 @@ def bare_greens_function(k: float, p: BornParams) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Brillouin-zone quadrature of the self-energy integrands
+# Exact Brillouin-zone averages of the self-energy integrands
 
 
-def _breakpoints(p: BornParams) -> list[float]:
-    """Split points of [0, pi] crowding geometrically onto the integrand peaks."""
-    pts = {0.0, math.pi}
-    scale = max(abs(p.u), abs(p.w), 1e-30)
-    width = math.sqrt(p.delta**2 + p.alpha**2) / scale
-    for j in range(14):
-        d = width * 4.0**j
-        if d >= math.pi:
-            break
-        pts.add(math.pi - d)
-    # resonance eps_k = |omega| inside the band, peak width alpha/|d eps/dk|
-    band_lo, band_hi = abs(abs(p.u) - abs(p.w)), abs(p.u) + abs(p.w)
-    if band_lo < abs(p.omega) < band_hi and p.u * p.w != 0.0:
-        ck = (p.omega**2 - p.u**2 - p.w**2) / (2.0 * p.u * p.w)
-        if -1.0 < ck < 1.0:
-            kr = math.acos(ck)
-            slope = abs(p.u * p.w * math.sin(kr)) / max(abs(p.omega), 1e-30)
-            wr = p.alpha / max(slope, 1e-30)
-            for j in range(14):
-                d = wr * 4.0**j
-                if d >= math.pi:
-                    break
-                for cand in (kr - d, kr + d):
-                    if 0.0 < cand < math.pi:
-                        pts.add(cand)
-    return sorted(pts)
+def _bz_averages(p: BornParams) -> tuple[complex, complex]:
+    """(f, g): (1/2pi) * integral over k of z and of u + w cos k over z^2 - eps_k^2.
 
-
-def _bz_average(numerator, p: BornParams) -> complex:
-    """(1/2pi) * integral over [-pi, pi] of numerator(k) / (z^2 - eps_k^2).
-
-    The integrand is even in k, so twice the [0, pi] integral is taken over
-    segments refined around the Lorentzian peaks.
+    With z = omega + i alpha, A = z^2 - u^2 - w^2 and B = 2uw the
+    denominator is A - B cos k, whose average is 1/s with
+    s = sqrt(z^2 - (u + w)^2) * sqrt(z^2 - (u - w)^2) on principal roots,
+    and |A + s| > |B|.  The cos k average follows from A^2 - s^2 = B^2:
+    g = u (1 + 2w^2 / (A + s)) / s = u (q + s) / ((A + s) s) with
+    q = z^2 - u^2 + w^2.  Each factor's real part is formed as
+    (omega - c)(omega + c) - alpha^2, so nothing cancels at a band edge or
+    near u = w, and q + s is taken as 4 w^2 z^2 / (q - s) where it would
+    cancel.  For alpha > 0 neither s nor A + s vanishes, so u = 0 and w = 0
+    need no special case.
     """
-    from scipy.integrate import quad
+    om, al, u, w = p.omega, p.alpha, p.u, p.w
+    z = complex(om, al)
 
-    z = p.omega + 1j * p.alpha
+    # z^2 - c^2; every factor gets z^2's imaginary part, so both roots take one side of the cut
+    def square(c: float) -> complex:
+        return complex((om - c) * (om + c) - al * al, 2.0 * om * al)
 
-    def integrand(k: float) -> complex:
-        eps2 = p.u**2 + p.w**2 + 2.0 * p.u * p.w * math.cos(k)
-        return numerator(k) / (z * z - eps2)
-
-    pts = _breakpoints(p)
-    n_seg = len(pts) - 1
-    total = 0.0 + 0.0j
-    err = 0.0
-    for a, b in zip(pts, pts[1:]):
-        val, e = quad(
-            integrand,
-            a,
-            b,
-            complex_func=True,
-            limit=300,
-            epsabs=_QUAD_ABS_TOL / (8.0 * n_seg),
-            epsrel=1e-11,
-        )
-        total += val
-        err += abs(e)
-    total /= math.pi  # 2x the [0, pi] piece, then /(2 pi)
-    if err / math.pi > _QUAD_ABS_TOL:
-        raise RuntimeError(
-            f"quadrature tolerance not reached: estimate {total!r} +- {err / math.pi:.2e}"
-        )
-    return total
+    z2 = square(0.0)
+    s = cmath.sqrt(square(u + w)) * cmath.sqrt(square(u - w))
+    q = z2 + (w - u) * (w + u)
+    t = q + s if abs(q + s) >= abs(q - s) else 4.0 * w * w * z2 / (q - s)
+    f = z / s
+    g = u * t / ((z2 - u * u - w * w + s) * s)
+    # complex division leaves -0.0 on the part that vanishes at omega = 0; + 0.0 makes it 0.0
+    return complex(f.real + 0.0, f.imag + 0.0), complex(g.real + 0.0, g.imag + 0.0)
 
 
 def f_quadrature(p: BornParams) -> complex:
-    """Frequency-renormalizing self-energy scalar by BZ quadrature."""
-    z = p.omega + 1j * p.alpha
-    return _bz_average(lambda k: z, p)
+    """Frequency-renormalizing self-energy scalar, the exact Brillouin-zone average."""
+    return _bz_averages(p)[0]
 
 
 def g_quadrature(p: BornParams) -> complex:
-    """Coupling-renormalizing self-energy scalar by BZ quadrature."""
-    return _bz_average(lambda k: p.u + p.w * math.cos(k), p)
+    """Coupling-renormalizing self-energy scalar, the exact Brillouin-zone average."""
+    return _bz_averages(p)[1]
 
 
 def f_narrow_peak(delta: float, u: float, alpha: float) -> complex:
@@ -183,12 +147,11 @@ def averaged_greens_function(
     """Disorder-averaged propagator: bare form at shifted arguments.
 
     omega -> omega - gamma^2 f and u -> u + gamma^2 g, with f, g from the
-    requested method ("quadrature" at p.omega, or the midgap "narrow_peak"
-    forms).
+    requested method ("quadrature", the exact Brillouin-zone averages at
+    p.omega, or the midgap "narrow_peak" forms).
     """
     if method == "quadrature":
-        f = f_quadrature(p)
-        g = g_quadrature(p)
+        f, g = _bz_averages(p)
     elif method == "narrow_peak":
         f = f_narrow_peak(p.delta, p.u, p.alpha)
         g = g_narrow_peak(p.delta, p.u, p.alpha)

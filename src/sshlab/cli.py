@@ -574,7 +574,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"{config_file} sets experiment = {named}, not {experiment}")
         entries.update(parse_config_entries({k: v for k, v in flags.items() if v is not None}))
         path = run_experiment(replace(default_config(experiment), **entries))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # a run that fails (say, every realization of a point is critical) writes no data file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(path)

@@ -299,8 +299,7 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
     and of the depth.
     """
     targets = np.asarray(which) + 1
-    ae = np.abs(e)
-    radius = np.concatenate((ae[:, :1], ae[:, :-1] + ae[:, 1:], ae[:, -1:]), axis=1)
+    radius = _coupling_radius(e)
     if d is not None:
         radius = np.abs(d) + radius
     bound = radius.max(axis=1, keepdims=True)
@@ -339,6 +338,12 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
             if steps == 128 and len(act):
                 raise ConvergenceError("bisection failed to localize the levels")
     return 0.5 * (lo + hi)
+
+
+def _coupling_radius(e: np.ndarray) -> np.ndarray:
+    """Gershgorin radii |e_{i-1}| + |e_i| of each site of tridiag(., e[r]), one chain per row."""
+    ae = np.abs(e)
+    return np.concatenate((ae[:, :1], ae[:, :-1] + ae[:, 1:], ae[:, -1:]), axis=1)
 
 
 def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
@@ -444,8 +449,7 @@ def midgap_vectors(offdiag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray,
         raise ValueError("midgap vectors need chains with an even number (>= 4) of sites")
     mags = np.sort(np.abs(levels), axis=1)
     s1 = mags[:, 0]
-    ae = np.abs(e)
-    bound = np.concatenate((ae[:, :1], ae[:, :-1] + ae[:, 1:], ae[:, -1:]), axis=1).max(axis=1)
+    bound = _coupling_radius(e).max(axis=1)
     if np.any(mags[:, 2] - mags[:, 1] <= 1e-13 * np.maximum(bound, _EPS)):
         warnings.warn("midgap pair is degenerate with the next eigenvalue")
     shift = np.maximum(s1, 64.0 * _EPS * bound)

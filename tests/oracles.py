@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 
+from sshlab.born import BornParams
 from sshlab.model import FluxMatrix
 from sshlab.spectrum import ConvergenceError
 
 _MASK64 = (1 << 64) - 1
+
+_QUAD_ABS_TOL = 1e-9
 
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -281,3 +284,79 @@ def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     else:
         raise ConvergenceError("bisection failed to localize the spectrum")
     return 0.5 * (lo + hi)
+
+
+# ----------------------------------------------------------------------
+# scipy Brillouin-zone quadrature of the Born self-energy integrands
+
+
+def _breakpoints(p: BornParams) -> list[float]:
+    """Split points of [0, pi] crowding geometrically onto the integrand peaks."""
+    pts = {0.0, math.pi}
+    scale = max(abs(p.u), abs(p.w), 1e-30)
+    width = math.sqrt(p.delta**2 + p.alpha**2) / scale
+    for j in range(14):
+        d = width * 4.0**j
+        if d >= math.pi:
+            break
+        pts.add(math.pi - d)
+    # resonance eps_k = |omega| inside the band, peak width alpha/|d eps/dk|
+    band_lo, band_hi = abs(abs(p.u) - abs(p.w)), abs(p.u) + abs(p.w)
+    if band_lo < abs(p.omega) < band_hi and p.u * p.w != 0.0:
+        ck = (p.omega**2 - p.u**2 - p.w**2) / (2.0 * p.u * p.w)
+        if -1.0 < ck < 1.0:
+            kr = math.acos(ck)
+            slope = abs(p.u * p.w * math.sin(kr)) / max(abs(p.omega), 1e-30)
+            wr = p.alpha / max(slope, 1e-30)
+            for j in range(14):
+                d = wr * 4.0**j
+                if d >= math.pi:
+                    break
+                for cand in (kr - d, kr + d):
+                    if 0.0 < cand < math.pi:
+                        pts.add(cand)
+    return sorted(pts)
+
+
+def _bz_average(numerator, p: BornParams) -> complex:
+    """(1/2pi) * integral over [-pi, pi] of numerator(k) / (z^2 - eps_k^2).
+
+    The integrand is even in k, so twice the [0, pi] integral is taken over
+    segments refined around the Lorentzian peaks.
+    """
+    from scipy.integrate import quad
+
+    z = p.omega + 1j * p.alpha
+
+    def integrand(k: float) -> complex:
+        eps2 = p.u**2 + p.w**2 + 2.0 * p.u * p.w * math.cos(k)
+        return numerator(k) / (z * z - eps2)
+
+    pts = _breakpoints(p)
+    n_seg = len(pts) - 1
+    total = 0.0 + 0.0j
+    err = 0.0
+    for a, b in zip(pts, pts[1:]):
+        val, e = quad(
+            integrand,
+            a,
+            b,
+            complex_func=True,
+            limit=300,
+            epsabs=_QUAD_ABS_TOL / (8.0 * n_seg),
+            epsrel=1e-11,
+        )
+        total += val
+        err += abs(e)
+    total /= math.pi  # 2x the [0, pi] piece, then /(2 pi)
+    if err / math.pi > _QUAD_ABS_TOL:
+        raise RuntimeError(
+            f"quadrature tolerance not reached: estimate {total!r} +- {err / math.pi:.2e}"
+        )
+    return total
+
+
+def born_quadrature(p: BornParams) -> tuple[complex, complex]:
+    """The self-energy scalars (f, g) of `p` by adaptive quadrature."""
+    z = p.omega + 1j * p.alpha
+    return _bz_average(lambda k: z, p), _bz_average(lambda k: p.u + p.w * math.cos(k), p)

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from oracles import born_quadrature
 
 from sshlab.analytic import critical_gamma_weak
 from sshlab.born import (
@@ -102,19 +104,101 @@ class TestSelfEnergyQuadrature:
             gnp = g_narrow_peak(delta, u, alpha)
             assert abs(gq - (gnp - 1.0 / (2.0 * u))) <= 0.05 * abs(gq)
 
-    def test_halving_tolerance_is_stable(self):
-        import sshlab.born as born_mod
 
-        p = BornParams(u=1.0, w=0.97, alpha=1e-5, omega=0.3)
-        coarse_f, coarse_g = f_quadrature(p), g_quadrature(p)
-        original = born_mod._QUAD_ABS_TOL
-        born_mod._QUAD_ABS_TOL = original / 2.0
-        try:
-            fine_f, fine_g = f_quadrature(p), g_quadrature(p)
-        finally:
-            born_mod._QUAD_ABS_TOL = original
-        assert abs(coarse_f - fine_f) <= original
-        assert abs(coarse_g - fine_g) <= original
+def mp_self_energies(u, w, alpha, omega):
+    """(f, g) to 40 digits by mpmath quadrature, split geometrically around the peaks."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(omega, alpha)
+        u, w = mpmath.mpf(u), mpmath.mpf(w)
+        peaks = [mpmath.pi]
+        if u * w != 0:
+            ck = (z.real**2 - u * u - w * w) / (2 * u * w)
+            if -1 < ck < 1:
+                peaks.append(mpmath.acos(ck))  # resonance eps_k = |omega| inside the band
+        width = mpmath.mpf(alpha) / max(abs(u), abs(w))
+        pts = {mpmath.mpf(0), mpmath.pi}
+        for c in peaks:
+            d = width
+            while d < mpmath.pi:
+                pts.update(x for x in (c - d, c + d) if 0 < x < mpmath.pi)
+                d *= 4
+        pts = sorted(pts)
+
+        def den(k):
+            return z * z - (u * u + w * w + 2 * u * w * mpmath.cos(k))
+
+        f = mpmath.quad(lambda k: z / den(k), pts) / mpmath.pi
+        g = mpmath.quad(lambda k: (u + w * mpmath.cos(k)) / den(k), pts) / mpmath.pi
+        return complex(f), complex(g)
+
+
+class TestSelfEnergyClosedForm:
+    def test_matches_scipy_quadrature(self):
+        # negative couplings, w = 0, and omega inside and outside the band
+        rng = np.random.default_rng(15)
+        for i in range(320):
+            u, w = rng.uniform(-2.0, 2.0, 2)
+            if i % 10 == 0:
+                w = 0.0
+            alpha = 10.0 ** rng.uniform(-6.0, -1.0)
+            p = BornParams(u=u, w=w, alpha=alpha, omega=float(rng.uniform(-3.0, 3.0)))
+            f, g = born_quadrature(p)
+            assert abs(f_quadrature(p) - f) <= 1e-9
+            assert abs(g_quadrature(p) - g) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "u, w, alpha, omega",
+        [
+            (1.0, 0.9, 1e-6, 0.0),  # trivial side
+            (1.0, 1.0, 1e-6, 0.0),  # clean critical point
+            (1.0, 1.1, 1e-6, 0.0),  # topological side
+            (1.0, 0.9, 1e-4, 0.5),  # inside the band
+            (1.0, 0.9, 1e-4, 2.5),  # outside the band
+            (-1.0, 0.7, 1e-4, 0.5),
+            (1.0, 0.0, 1e-4, 0.4),
+            (0.8, -1.3, 1e-5, 0.0),
+        ],
+    )
+    def test_matches_mpmath(self, u, w, alpha, omega):
+        f, g = mp_self_energies(u, w, alpha, omega)
+        p = BornParams(u=u, w=w, alpha=alpha, omega=omega)
+        assert abs(f_quadrature(p) - f) <= 1e-12
+        assert abs(g_quadrature(p) - g) <= 1e-12
+
+    @pytest.mark.parametrize("omega", [0.5, 1.5])
+    def test_band_edges_to_rounding(self, omega):
+        # omega = |u -+ w| exactly: |f| ~ 1/sqrt(alpha) and z^2 - c^2 is all cancellation
+        f, g = mp_self_energies(1.0, 0.5, 1e-8, omega)
+        p = BornParams(u=1.0, w=0.5, alpha=1e-8, omega=omega)
+        assert abs(f_quadrature(p) - f) <= 1e-14 * abs(f)
+        assert abs(g_quadrature(p) - g) <= 1e-14 * abs(g)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_clean_critical_point_where_quadrature_fails(self):
+        # w = u closes the clean gap at k = pi; f -> -i/(2u), g -> -1/(2u)
+        p = BornParams(u=1.0, w=1.0, alpha=1e-8, omega=0.0)
+        with pytest.raises(RuntimeError):
+            born_quadrature(p)
+        f, g = mp_self_energies(1.0, 1.0, 1e-8, 0.0)
+        assert abs(f_quadrature(p) - f) <= 1e-12
+        assert abs(g_quadrature(p) - g) <= 1e-12
+        assert f_quadrature(p) == pytest.approx(-0.5j, abs=1e-7)
+        assert g_quadrature(p) == pytest.approx(-0.5, abs=1e-7)
+
+    def test_vanishing_parts_at_midgap_are_positive_zero(self):
+        # at omega = 0 f is imaginary and g real; the other part is +0.0, never -0.0
+        for w in (0.8, 1.0, 1.2, 0.0):
+            p = BornParams(u=1.0, w=w, alpha=1e-6, omega=0.0)
+            assert math.copysign(1.0, f_quadrature(p).real) == 1.0
+            assert math.copysign(1.0, g_quadrature(p).imag) == 1.0
+
+    def test_alpha_to_zero_limits(self):
+        # g -> -1/u for w < u and 0 for w > u: the peak -1/(2u) plus the background -1/(2u)
+        for u in (0.5, 1.0, 2.0):
+            for w, limit in ((0.9 * u, -1.0 / u), (1.1 * u, 0.0)):
+                p = BornParams(u=u, w=w, alpha=1e-10 * u, omega=0.0)
+                assert g_quadrature(p).real == pytest.approx(limit, abs=1e-8)
+                assert abs(f_quadrature(p)) <= 1e-8
 
 
 class TestNarrowPeakForms:

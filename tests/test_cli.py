@@ -386,24 +386,25 @@ class TestMainEntry:
         assert proc.stdout.strip() == str(out)
         assert len(data_section(out).splitlines()) == 2
 
-    def test_only_born_imports_scipy(self, tmp_path):
+    def test_only_density_quadratures_import_scipy(self, tmp_path):
         script = textwrap.dedent(
             """
             import sys
             from dataclasses import replace
-            from sshlab import born, cli
+            from sshlab import analytic, cli, ensemble
 
             def scipy_loaded():
                 return sorted(m for m in sys.modules if m.startswith("scipy"))
 
             tiny = dict(n=8, realizations=4, gamma_grid=(0.1, 0.4), threads=1)
-            for name in ("mean-nu", "gap-scan", "edge-modes", "phase-diagram", "invariant"):
+            names = ("mean-nu", "gap-scan", "edge-modes", "phase-diagram", "invariant", "born")
+            for name in names:
                 cfg = replace(cli.default_config(name), out=name + ".csv", **tiny)
                 if cfg.w_grid:
                     cfg = replace(cfg, w_grid=(0.8, 1.1))
                 cli.run_experiment(cfg)
                 assert not scipy_loaded(), (name, scipy_loaded())
-            born.f_quadrature(born.BornParams(u=1.0, w=0.9, gamma=0.1))
+            analytic.z2_quadrature(ensemble.FlatDistribution(0.3, 1.0))
             assert "scipy.integrate" in sys.modules
             print("ok")
             """
@@ -476,6 +477,15 @@ class TestMainEntry:
         code = main(["mean-nu", *flags, "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_run_exit_code(self, tmp_path, capsys):
+        # every gamma = 0 realization of the clean critical chain is critical
+        out = tmp_path / "m.csv"
+        argv = ["mean-nu", "--w", "1.0", "--gamma-grid", "0,0.5", "--realizations", "20"]
+        assert main(argv + ["--n", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "non-critical realizations" in err
+        assert not out.exists()
 
     def test_reports_output_path(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
