@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -172,6 +173,10 @@ def _data_bytes(cfg: RunConfig, columns: list[str], rows: list[list]) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
 
 
+# the BLAS/OpenMP thread caps in effect, which forked pool workers inherit
+_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_outputs(cfg: RunConfig, columns, rows, wall_time: float, pool) -> Path:
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -181,6 +186,7 @@ def _write_outputs(cfg: RunConfig, columns, rows, wall_time: float, pool) -> Pat
         "out": str(out),
         "pool_started": pool.executor is not None,
         "sweeps": pool.sweeps,
+        "thread_env": {name: os.environ.get(name) for name in _THREAD_ENV},
         "threads": cfg.threads,
         "version": f"sshlab {__version__}",
         "wall_time_s": wall_time,

@@ -57,11 +57,21 @@ _GAP_BLOCK = 4
 # large two workers beat one at r = 1000 and r = 15000 (2 cores), while at
 # r = 300 a pool would cost more than it saves
 _INDEX_BLOCK = 500
-# the process's one Philox, re-keyed per realization (`_stream`), and the
-# state of a fresh Philox: counter 0, empty buffer
+# the process's one Philox, re-keyed per realization by writing the key
+# (master_seed, index) into the state of a fresh Philox (counter 0, empty
+# buffer) and assigning that state; plain ints, since the state setter
+# converts numpy scalars one by one at about twice the cost
 _PHILOX = np.random.Philox(0)
 _GENERATOR = np.random.Generator(_PHILOX)
-_FRESH_STATE = _PHILOX.state
+_FRESH_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+    "buffer": [0, 0, 0, 0],
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+_KEY = _FRESH_STATE["state"]["key"]
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,8 @@ def _stream(master_seed: int, index: int) -> np.random.Generator:
     Its draws are bit-identical to those of a Generator(Philox(key)) built
     for the key (master_seed, index) alone.
     """
-    key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    _FRESH_STATE["state"]["key"] = key
+    _KEY[0] = master_seed & _MASK64
+    _KEY[1] = index & _MASK64
     _PHILOX.state = _FRESH_STATE
     return _GENERATOR
 
@@ -142,17 +152,21 @@ def _sample_block(points, r: int, n: int, rows: range) -> np.ndarray:
 
     Row k is realization k % r of point k // r, `points` holding
     (dist, master_seed) pairs.  Each row takes its stream's first n
-    standard uniforms, and one `dist.couplings` call per point maps that
-    point's rows onto its support: row for row the draws of `dist.sample`
-    from that stream.
+    standard uniforms (`_stream`, inlined), and one `dist.couplings` call
+    per point maps that point's rows onto its support: row for row the
+    draws of `dist.sample` from that stream.
     """
     block = np.empty((len(rows), n))
     for p in range(rows.start // r, (rows.stop - 1) // r + 1):
         dist, seed = points[p]
-        part = slice(max(rows.start, p * r) - rows.start, min(rows.stop, p * r + r) - rows.start)
-        for row, k in zip(block[part], rows[part]):
-            _stream(seed, k - p * r).random(out=row)
-        block[part] = dist.couplings(block[part])
+        start, stop = max(rows.start, p * r), min(rows.stop, p * r + r)
+        part = block[start - rows.start : stop - rows.start]
+        _KEY[0] = seed & _MASK64
+        for row, index in zip(part, range(start - p * r, stop - p * r)):
+            _KEY[1] = index & _MASK64
+            _PHILOX.state = _FRESH_STATE
+            _GENERATOR.random(out=row)
+        part[...] = dist.couplings(part)  # no copy when mapped in place
     return block
 
 

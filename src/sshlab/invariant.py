@@ -64,9 +64,15 @@ def log_xi_offset(params: ChainParams) -> float:
 
 
 def log_ratio_sums(couplings: np.ndarray, u: float) -> np.ndarray:
-    """sum_j log|c_j/u| per row (last axis), bit-identical to the row's own sum; -inf at a zero."""
+    """sum_j log|c_j/u| per row (last axis), bit-identical to the row's own sum; -inf at a zero.
+
+    One temporary: the ratios, taken through abs and log in place.
+    """
+    ratios = np.divide(couplings, u)
+    np.abs(ratios, out=ratios)
     with np.errstate(divide="ignore"):
-        return np.sum(np.log(np.abs(couplings / u)), axis=-1)
+        np.log(ratios, out=ratios)
+    return ratios.sum(axis=-1)
 
 
 def index_from_log_xi(log_xi) -> np.ndarray:

@@ -315,6 +315,28 @@ class TestRunners:
         assert fake_pool == [2]
         assert (tmp_path / "nu4.csv").read_bytes() == (tmp_path / "nu1.csv").read_bytes()
 
+    def test_sidecar_records_thread_env(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from sshlab.cli import _THREAD_ENV
+
+        cfg = tiny("gap-scan", tmp_path, n=10, realizations=6, threads=2)
+        for name in _THREAD_ENV:
+            monkeypatch.delenv(name, raising=False)
+        bare = run_experiment(replace(cfg, out=str(tmp_path / "bare.csv")))
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        capped = run_experiment(replace(cfg, out=str(tmp_path / "capped.csv")))
+        metas = [json.loads(p.with_suffix(".csv.meta.json").read_text()) for p in (bare, capped)]
+        assert metas[0]["thread_env"] == dict.fromkeys(_THREAD_ENV)
+        assert metas[1]["thread_env"] == {
+            "MKL_NUM_THREADS": None,
+            "OMP_NUM_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": "2",
+        }
+        assert metas[1]["pool_started"]
+        assert capped.read_bytes() == bare.read_bytes()
+
     def test_sidecar_records_sweeps(self, tmp_path):
         from dataclasses import replace
 

@@ -133,6 +133,20 @@ class TestSampler:
                         single = sample_realization(dist, n, s, i).couplings
                         assert single.tobytes() == row.tobytes()
 
+    def test_rekey_ignores_a_dirty_generator(self):
+        # two doubles and an int32 draw leave the Philox buffer part used and
+        # half a uint64 cached; the re-key must clear both
+        rng = ensemble._stream(0, 0)
+        rng.random(2)
+        rng.integers(0, 10, dtype=np.int32)
+        state = ensemble._PHILOX.state
+        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+        points = [(FlatDistribution(0.3, 1.0), 2**64 - 1), (FlatDistribution(0.9, 1.0), 5)]
+        block = ensemble._sample_block(points, 3, 6, range(1, 5))
+        for row, k in zip(block, range(1, 5)):
+            (dist, seed), i = points[k // 3], k % 3
+            assert row.tobytes() == dist.sample(realization_rng(seed, i), 6).tobytes()
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sample_realization(FlatDistribution(0.3, 1.0), 4, 1, -1)

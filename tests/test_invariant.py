@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sshlab.invariant import (
     CriticalRealizationError,
     UnresolvedWindingError,
     WindingResult,
+    log_ratio_sums,
     winding_closed_form,
     winding_integral,
     xi_value,
@@ -109,6 +111,32 @@ class TestClosedForm:
         params = ChainParams(n=2, u=0.0, w=1.0)
         with pytest.raises(ValueError):
             winding_closed_form(clean_realization(2, 0.0), params)
+
+
+class TestLogRatioSums:
+    @staticmethod
+    def reference(c, u):
+        with np.errstate(divide="ignore"):
+            return np.sum(np.log(np.abs(c / u)), axis=-1)
+
+    @pytest.mark.parametrize("u", [1.0, 0.7, -1.3])
+    def test_bytes_match_the_plain_expression(self, u):
+        rng = np.random.default_rng(11)
+        shapes = [(-2.0, 3.0, (6, 37)), (0.1, 3.0, 301), (-1.0, 1.0, (2, 3, 5))]
+        for c in (rng.uniform(*shape) for shape in shapes):
+            before = c.copy()
+            result = log_ratio_sums(c, u)
+            assert c.tobytes() == before.tobytes()
+            assert result.shape == c.shape[:-1]
+            assert np.asarray(result).tobytes() == np.asarray(self.reference(c, u)).tobytes()
+
+    def test_zero_coupling_is_minus_inf_without_warning(self):
+        c = np.array([[0.5, 0.0, 2.0], [0.5, 1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = log_ratio_sums(c, -1.0)
+        assert result[0] == -math.inf and np.isfinite(result[1])
+        assert c[0, 1] == 0.0
 
 
 class TestMethodEquivalence:
