@@ -3,8 +3,7 @@
 Cumulants of log|1 + eps/u| under the coupling-deviation density, the
 erf-smoothed average index, the critical surfaces, and the finite-size
 fluctuation estimates.  For the flat density both cumulants z1 and z2 have
-closed forms, which every experiment uses; the quadratures work for any
-density and import scipy only when they run.  The error function is computed
+closed forms, which every experiment uses.  The error function is computed
 in-repo (Maclaurin series below 2.5, Legendre continued fraction above) so
 results do not depend on platform libm behaviour.
 """
@@ -12,16 +11,14 @@ results do not depend on platform libm behaviour.
 from __future__ import annotations
 
 import math
-import warnings
 
 __all__ = [
     "erf",
-    "z1_quadrature",
-    "z2_quadrature",
     "z1_flat_closed_form",
     "z2_flat_closed_form",
     "mean_nu_analytic",
     "critical_w",
+    "critical_w_weak",
     "critical_gamma_weak",
     "critical_gamma",
     "variance_nu",
@@ -29,7 +26,6 @@ __all__ = [
 ]
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_QUAD_ABS_TOL = 1e-10
 
 
 def erf(x: float) -> float:
@@ -88,76 +84,6 @@ def _erfc_continued_fraction(x: float) -> float:
 # cumulants of log|1 + eps/u|
 
 
-def _density_pieces(dist) -> list[tuple[float, float]]:
-    """Integration segments over the deviation support, split at eps = -u."""
-    lo, hi = dist.support
-    u = dist.u
-    if lo < -u < hi:
-        return [(lo, -u), (-u, hi)]
-    return [(lo, hi)]
-
-
-def _integrate(fn, pieces) -> float:
-    from scipy.integrate import IntegrationWarning, quad
-
-    total = 0.0
-    err = 0.0
-    for a, b in pieces:
-        with warnings.catch_warnings():
-            # requesting near-roundoff accuracy makes QUADPACK grumble on the
-            # log-singular pieces; the returned error estimate is still
-            # checked against the tolerance contract below
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, e = quad(fn, a, b, limit=400, epsabs=1e-13, epsrel=1e-12)
-        total += val
-        err += e
-    if err > _QUAD_ABS_TOL:
-        raise RuntimeError(
-            f"quadrature tolerance not reached: estimate {total!r} +- {err:.2e}"
-        )
-    return total
-
-
-def _check_normalized(dist, pieces) -> None:
-    norm = _integrate(dist.pdf, pieces)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"density is not normalized: integral = {norm!r}")
-
-
-def z1_quadrature(dist) -> float:
-    """First cumulant of log|1 + eps/u| under the deviation density.
-
-    Works for any density object exposing u, support and pdf(eps); the
-    integrable log singularity at eps = -u is an explicit split point.
-    """
-    if dist.u == 0.0:
-        raise ValueError("u must be nonzero")
-    lo, hi = dist.support
-    if hi <= lo:
-        return 0.0
-    pieces = _density_pieces(dist)
-    _check_normalized(dist, pieces)
-    u = dist.u
-    return _integrate(lambda e: math.log(abs(1.0 + e / u)) * dist.pdf(e), pieces)
-
-
-def z2_quadrature(dist) -> float:
-    """Second cumulant (variance) of log|1 + eps/u|."""
-    if dist.u == 0.0:
-        raise ValueError("u must be nonzero")
-    lo, hi = dist.support
-    if hi <= lo:
-        return 0.0
-    pieces = _density_pieces(dist)
-    _check_normalized(dist, pieces)
-    u = dist.u
-    second = _integrate(
-        lambda e: math.log(abs(1.0 + e / u)) ** 2 * dist.pdf(e), pieces
-    )
-    z1 = _integrate(lambda e: math.log(abs(1.0 + e / u)) * dist.pdf(e), pieces)
-    return second - z1 * z1
-
-
 def _flat_log_series(a: float) -> tuple[float, float]:
     """E[log(1+s)] and E[log^2(1+s)] for s uniform on [-a, a], 0 < a < 1/2.
 
@@ -184,30 +110,38 @@ def _flat_log_series(a: float) -> tuple[float, float]:
         k += 2
 
 
-def z1_flat_closed_form(gamma: float, u: float) -> float:
-    """Explicit z1 for the flat deviation density of half-width sqrt(3)*gamma.
+def _flat_log_antiderivatives(a: float) -> tuple[float, float]:
+    """E[log|1+s|] and Var[log|1+s|] for s uniform on [-a, a] from antiderivatives in x = 1 + s.
 
-    With a = sqrt3 gamma/|u|: below a = 1/2 the even power series
-    (`_flat_log_series`), which keeps full relative accuracy as gamma -> 0;
-    from a = 1/2 on the form `_flat_log_mean`, which has no singularity at
-    sqrt3 gamma = |u|.
+    z1 = [x log|x|]/(2a) - 1 and z2 = [x (t^2 - 2t + 2)]/(2a) with
+    t = log|x| - z1, each bracket taken from x = 1 - a to 1 + a.  Both
+    antiderivatives are continuous at x = 0 (a = 1), so neither form has a
+    singularity at sqrt3 gamma = |u|.
     """
-    if gamma <= 0.0:
-        raise ValueError("closed form requires gamma > 0")
-    if u == 0.0:
-        raise ValueError("u must be nonzero")
-    a = math.sqrt(3.0) * gamma / abs(u)
-    return _flat_log_series(a)[0] if a < 0.5 else _flat_log_mean(a)
+    lo, hi = 1.0 - a, 1.0 + a
+    z1 = (_x_log_abs(hi) - _x_log_abs(lo)) / (2.0 * a) - 1.0
+
+    # an error d in z1 moves E[(log|x| - z1)^2] by d^2 only
+    def antiderivative(x: float) -> float:
+        if x == 0.0:
+            return 0.0
+        t = math.log(abs(x)) - z1
+        return x * (t * t - 2.0 * t + 2.0)
+
+    return z1, (antiderivative(hi) - antiderivative(lo)) / (2.0 * a)
 
 
-def z2_flat_closed_form(gamma: float, u: float) -> float:
-    """Explicit z2 for the flat deviation density of half-width sqrt(3)*gamma.
+def _x_log_abs(x: float) -> float:
+    return 0.0 if x == 0.0 else x * math.log(abs(x))
+
+
+def _flat_cumulants(gamma: float, u: float) -> tuple[float, float]:
+    """(z1, z2) of log|1 + eps/u| for the flat deviation density of half-width sqrt(3)*gamma.
 
     With s = eps/u uniform on [-a, a], a = sqrt3 gamma/|u|: below a = 1/2 the
-    even power series of E[log(1+s)] and E[log^2(1+s)] (`_flat_log_series`),
-    which keeps full relative accuracy as gamma -> 0; above it the
-    antiderivative x (t^2 - 2t + 2) of t^2, t = log|x| - z1, between
-    x = 1 - a and 1 + a (zero at x = 0).
+    even power series (`_flat_log_series`), which keeps full relative
+    accuracy as gamma -> 0; from a = 1/2 on the antiderivative forms
+    (`_flat_log_antiderivatives`).
     """
     if gamma <= 0.0:
         raise ValueError("closed form requires gamma > 0")
@@ -216,31 +150,18 @@ def z2_flat_closed_form(gamma: float, u: float) -> float:
     a = math.sqrt(3.0) * gamma / abs(u)
     if a < 0.5:
         first, second = _flat_log_series(a)
-        return second - first * first
-    lo, hi = 1.0 - a, 1.0 + a
-    # an error d in z1 moves E[(log|x| - z1)^2] by d^2 only
-    z1 = _flat_log_mean(a)
-
-    def antiderivative(x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        t = math.log(abs(x)) - z1
-        return x * (t * t - 2.0 * t + 2.0)
-
-    return (antiderivative(hi) - antiderivative(lo)) / (2.0 * a)
+        return first, second - first * first
+    return _flat_log_antiderivatives(a)
 
 
-def _flat_log_mean(a: float) -> float:
-    """E[log|1+s|] for s uniform on [-a, a]: [x log|x|] from 1 - a to 1 + a, over 2a, minus 1.
-
-    x log|x| is continuous at x = 0 (a = 1), so this form has no removable
-    singularity there.
-    """
-    return (_x_log_abs(1.0 + a) - _x_log_abs(1.0 - a)) / (2.0 * a) - 1.0
+def z1_flat_closed_form(gamma: float, u: float) -> float:
+    """Explicit z1 for the flat deviation density of half-width sqrt(3)*gamma (`_flat_cumulants`)."""
+    return _flat_cumulants(gamma, u)[0]
 
 
-def _x_log_abs(x: float) -> float:
-    return 0.0 if x == 0.0 else x * math.log(abs(x))
+def z2_flat_closed_form(gamma: float, u: float) -> float:
+    """Explicit z2 for the flat deviation density of half-width sqrt(3)*gamma (`_flat_cumulants`)."""
+    return _flat_cumulants(gamma, u)[1]
 
 
 # ----------------------------------------------------------------------
@@ -264,8 +185,7 @@ def mean_nu_analytic(n: int, u: float, w: float, gamma: float) -> float:
         if au == aw:
             raise ValueError("critical, undefined: |u| = |w| at zero disorder")
         return 1.0 if aw > au else 0.0
-    z1 = z1_flat_closed_form(gamma, au)
-    z2 = z2_flat_closed_form(gamma, au)
+    z1, z2 = _flat_cumulants(gamma, au)
     shift = math.log(au / aw) + z1
     if z2 == 0.0:
         if shift == 0.0:
@@ -281,6 +201,20 @@ def critical_w(u: float, gamma: float) -> float:
     if gamma == 0.0:
         return u
     return u * math.exp(z1_flat_closed_form(gamma, abs(u)))
+
+
+def critical_w_weak(u: float, gamma: float) -> float:
+    """Weak-disorder critical coupling u - gamma^2/(2u), the inverse of `critical_gamma_weak`.
+
+    The leading order of `critical_w` = u exp(z1), z1 = -gamma^2/(2u^2) + ...;
+    nan where it does not keep the sign of u (gamma^2 >= 2u^2).
+    """
+    if gamma < 0.0:
+        raise ValueError("gamma must be nonnegative")
+    if u == 0.0:
+        raise ValueError("u must be nonzero")
+    w0 = u - gamma * gamma / (2.0 * u)
+    return w0 if w0 * u > 0.0 else math.nan
 
 
 def critical_gamma_weak(u: float, w: float) -> float:

@@ -129,9 +129,12 @@ def f_narrow_peak(delta: float, u: float, alpha: float) -> complex:
 
 
 def g_narrow_peak(delta: float, u: float, alpha: float) -> complex:
-    """Midgap narrow-peak form -delta / (2u sqrt(delta^2 + alpha^2))."""
+    """Midgap narrow-peak form -delta / (2u sqrt(delta^2 + alpha^2)).
+
+    At delta = 0 the quotient is -0.0; + 0.0 makes it 0.0, as `_bz_averages` does.
+    """
     _check_narrow_peak_args(delta, alpha)
-    return complex(-delta / (2.0 * u * math.sqrt(delta * delta + alpha * alpha)))
+    return complex(-delta / (2.0 * u * math.sqrt(delta * delta + alpha * alpha)) + 0.0)
 
 
 def _check_narrow_peak_args(delta: float, alpha: float) -> None:

@@ -251,8 +251,7 @@ def run_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
     for gi, gamma in enumerate(cfg.gamma_grid):
         dist = ensemble.FlatDistribution(gamma=gamma, u=cfg.u)
         w0 = analytic.critical_w(cfg.u, gamma)
-        arg = 1.0 - gamma**2 / (2.0 * cfg.u**2)
-        w0_weak = cfg.u * math.sqrt(arg) if arg >= 0.0 else math.nan
+        w0_weak = analytic.critical_w_weak(cfg.u, gamma)
         for wi, w in enumerate(cfg.w_grid):
             index = gi * len(cfg.w_grid) + wi
             real = ensemble.sample_realization(dist, cfg.n, cfg.master_seed, index)
@@ -464,14 +463,13 @@ def run_selftest() -> int:
     lp, sp, lq, sq = h.log_terms()
     rebuilt = sp * np.exp(lp) + sq * np.exp(lq) * np.exp(1j * h.phi)
     checks.append(("determinant routes", abs(h.determinant() - rebuilt) < 1e-12))
-    z2_gap = max(
-        abs(
-            analytic.z2_flat_closed_form(g, 1.0)
-            - analytic.z2_quadrature(ensemble.FlatDistribution(g, 1.0))
-        )
-        for g in (0.3, 1.0)
-    )
-    checks.append(("z2 routes", z2_gap < 1e-12))
+    # both branches of the flat-density cumulants, where either one applies
+    cumulant_gap = 0.0
+    for a in (0.3, 0.5):
+        first, second = analytic._flat_log_series(a)
+        z1, z2 = analytic._flat_log_antiderivatives(a)
+        cumulant_gap = max(cumulant_gap, abs(first - z1), abs(second - first * first - z2))
+    checks.append(("z2 routes", cumulant_gap < 1e-14))
     rng = np.random.default_rng(5)
     real = model.Realization(couplings=rng.uniform(0.5, 1.5, 8))
     m = model.build_chain(model.ChainParams(n=8, u=1.0, w=0.8), real)

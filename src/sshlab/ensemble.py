@@ -78,8 +78,7 @@ _KEY = _FRESH_STATE["state"]["key"]
 class FlatDistribution:
     """Uniform coupling density on [u - sqrt(3) gamma, u + sqrt(3) gamma].
 
-    gamma is the standard deviation; pdf/support describe the centered
-    deviation density used by the cumulant quadratures.
+    gamma is the standard deviation of the couplings about their mean u.
     """
 
     gamma: float
@@ -94,18 +93,8 @@ class FlatDistribution:
         return math.sqrt(3.0) * self.gamma
 
     @property
-    def support(self) -> tuple[float, float]:
-        return (-self.halfwidth, self.halfwidth)
-
-    @property
     def coupling_support(self) -> tuple[float, float]:
         return (self.u - self.halfwidth, self.u + self.halfwidth)
-
-    def pdf(self, eps: float) -> float:
-        h = self.halfwidth
-        if h == 0.0:
-            raise ValueError("gamma = 0 is a point mass with no density")
-        return 1.0 / (2.0 * h) if -h <= eps <= h else 0.0
 
     def couplings(self, uniforms: np.ndarray) -> np.ndarray:
         """Standard uniforms mapped onto the coupling support, in place.
@@ -184,13 +173,11 @@ def sample_realization(
 class _RunPool:
     """A process pool shared by the estimator calls of one run.
 
-    `threads` is the resolved worker count and `workers` the processes the
-    pool may start, never more than there are CPUs.  `sweeps` logs each
-    sweep mapped while the pool is open: its quantity, block count and
-    whether its blocks went to the pool.
+    `workers` is the number of processes the pool may start (`_workers`).
+    `sweeps` logs each sweep mapped while the pool is open: its quantity,
+    block count and whether its blocks went to the pool.
     """
 
-    threads: int
     workers: int
     executor: ProcessPoolExecutor | None = None
     sweeps: list[dict] = field(default_factory=list)
@@ -199,17 +186,23 @@ class _RunPool:
 _run_pools: list[_RunPool] = []
 
 
+def _workers(threads: int) -> int:
+    """Processes a pool for `threads` may start: the request (0 = all CPUs), at most the CPUs."""
+    cpus = os.cpu_count() or 1
+    return min(threads or cpus, cpus)
+
+
 @contextmanager
 def worker_pool(threads: int):
     """Let the pooled estimator calls made inside share one process pool.
 
     The pool starts at the first call that needs it; on exit it is shut
-    down and its workers joined.  Estimators called outside, or with
-    another worker count, open a pool of their own per call.  Yields the
-    slot (`_RunPool`); its `executor` stays set once the pool has started.
+    down and its workers joined.  Estimators called outside, or whose
+    `threads` resolve to another worker count, open a pool of their own per
+    call.  Yields the slot (`_RunPool`); its `executor` stays set once the
+    pool has started.
     """
-    threads = threads or os.cpu_count() or 1
-    slot = _RunPool(threads, min(threads, os.cpu_count() or 1))
+    slot = _RunPool(_workers(threads))
     _run_pools.append(slot)
     try:
         yield slot
@@ -226,9 +219,10 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     `block` consecutive rows (the last holds the remainder, and a block may
     cross from one point into the next), a size the worker count never
     changes, and each block is farmed out whole, so every worker call sees
-    the same rows with any number of workers.  A sweep of one block, or a
-    run with one worker, stays in-process; the others go to the open
-    `worker_pool` of their worker count, or to one opened for the sweep.
+    the same rows with any number of workers.  A sweep of one block, or one
+    whose `threads` resolve to one worker (`_workers`), stays in-process;
+    the others go to the open `worker_pool` of their worker count, or to
+    one opened for the sweep.
     The worker returns a tuple of per-row arrays; so does this map, each
     reshaped to (point, index, ...).
     """
@@ -242,20 +236,20 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     worker = partial(worker, params, points, r)
     total = len(points) * r
     blocks = [range(start, min(start + block, total)) for start in range(0, total, block)]
-    threads = threads or os.cpu_count() or 1
-    pooled = threads > 1 and len(blocks) > 1
+    workers = _workers(threads)
+    pooled = workers > 1 and len(blocks) > 1
     slot = _run_pools[-1] if _run_pools else None
     if slot is not None:
         slot.sweeps.append({"quantity": quantity, "blocks": len(blocks), "pooled": pooled})
     if not pooled:
         results = [worker(b) for b in blocks]
     else:
-        shared = slot is not None and slot.threads == threads
+        shared = slot is not None and slot.workers == workers
         with nullcontext(slot) if shared else worker_pool(threads) as pool:
             if pool.executor is None:
                 # a forked pool starts all its workers at its first task
                 pool.executor = ProcessPoolExecutor(max_workers=pool.workers)
-            chunksize = max(1, len(blocks) // (threads * 4))
+            chunksize = max(1, len(blocks) // (workers * 4))
             results = list(pool.executor.map(worker, blocks, chunksize=chunksize))
     return [
         np.concatenate(rows).reshape(len(points), r, *rows[0].shape[1:])
@@ -401,9 +395,9 @@ def estimate_eta_moments(
 ) -> EnsembleEstimate:
     """Sample mean and variance of eta = sum log|1 + du_i/u|.
 
-    The contract is mean ~ n*z1 and variance ~ n*z2 from the cumulant
-    quadratures.  Draws containing an exactly zero coupling are redrawn
-    from the same stream and counted in n_resampled.
+    The contract is mean ~ n*z1 and variance ~ n*z2, z1 and z2 the
+    cumulants of log|1 + eps/u|.  Draws containing an exactly zero
+    coupling are redrawn from the same stream and counted in n_resampled.
     """
     if r < 100:
         raise ValueError("need at least 100 realizations for moment estimates")

@@ -23,6 +23,7 @@ __all__ = [
     "build_chain",
     "build_flux_matrix",
     "chain_couplings",
+    "gershgorin_radii",
     "dispersion",
     "coherence_length",
 ]
@@ -121,15 +122,10 @@ class ChainMatrix:
         return y
 
     def norm_bound(self) -> float:
-        """Gershgorin bound on the spectral radius."""
-        n = self.size
-        row = np.zeros(n)
-        row[:-1] += np.abs(self.offdiag)
-        row[1:] += np.abs(self.offdiag)
-        if self.corner is not None:
-            row[0] += abs(self.corner)
-            row[-1] += abs(self.corner)
-        return float(row.max()) if n else 0.0
+        """Gershgorin bound on the spectral radius: the largest `gershgorin_radii`."""
+        if self.size < 2:
+            return 0.0
+        return float(gershgorin_radii(self.offdiag, self.corner).max())
 
     def trace_h2(self) -> float:
         """trace(H^2) = 2 * sum of squared bonds (corner included)."""
@@ -187,6 +183,21 @@ class FluxMatrix:
         lq = n * math.log(abs(self.w)) if self.w != 0.0 else -math.inf
         sq = (-1.0) ** (n + 1) * math.copysign(1.0, self.w) ** n if self.w != 0.0 else 0.0
         return lp, sp, lq, sq
+
+
+def gershgorin_radii(offdiag: np.ndarray, corner=None) -> np.ndarray:
+    """Gershgorin radii |e_(i-1)| + |e_i| of each site, one chain per row of `offdiag`.
+
+    `offdiag` (..., N-1) holds the bonds of zero-diagonal chains of N >= 2
+    sites; `corner` (a scalar, or one per chain) closes rings and adds its
+    magnitude to the first and last site.
+    """
+    ae = np.abs(offdiag)
+    radii = np.concatenate((ae[..., :1], ae[..., :-1] + ae[..., 1:], ae[..., -1:]), axis=-1)
+    if corner is not None:
+        radii[..., 0] += np.abs(corner)
+        radii[..., -1] += np.abs(corner)
+    return radii
 
 
 def chain_couplings(params: ChainParams, couplings: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainMatrix
+from .model import ChainMatrix, gershgorin_radii
 
 __all__ = [
     "ConvergenceError",
@@ -299,7 +299,7 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
     and of the depth.
     """
     targets = np.asarray(which) + 1
-    radius = _coupling_radius(e)
+    radius = gershgorin_radii(e)
     if d is not None:
         radius = np.abs(d) + radius
     bound = radius.max(axis=1, keepdims=True)
@@ -338,12 +338,6 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
             if steps == 128 and len(act):
                 raise ConvergenceError("bisection failed to localize the levels")
     return 0.5 * (lo + hi)
-
-
-def _coupling_radius(e: np.ndarray) -> np.ndarray:
-    """Gershgorin radii |e_{i-1}| + |e_i| of each site of tridiag(., e[r]), one chain per row."""
-    ae = np.abs(e)
-    return np.concatenate((ae[:, :1], ae[:, :-1] + ae[:, 1:], ae[:, -1:]), axis=1)
 
 
 def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
@@ -449,7 +443,7 @@ def midgap_vectors(offdiag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray,
         raise ValueError("midgap vectors need chains with an even number (>= 4) of sites")
     mags = np.sort(np.abs(levels), axis=1)
     s1 = mags[:, 0]
-    bound = _coupling_radius(e).max(axis=1)
+    bound = gershgorin_radii(e).max(axis=1)
     if np.any(mags[:, 2] - mags[:, 1] <= 1e-13 * np.maximum(bound, _EPS)):
         warnings.warn("midgap pair is degenerate with the next eigenvalue")
     shift = np.maximum(s1, 64.0 * _EPS * bound)

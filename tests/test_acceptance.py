@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import FlatDensity, z1_quadrature, z2_quadrature
 
 from sshlab import analytic, born, ensemble, invariant, model, spectrum
 from sshlab.cli import default_config, run_experiment
@@ -108,16 +109,16 @@ def test_c04_critical_boundary_bisection():
 
 
 def test_c05_weak_disorder_asymptotics():
-    dist = ensemble.FlatDistribution(gamma=0.01, u=U)
-    z1 = analytic.z1_quadrature(dist)
-    z2 = analytic.z2_quadrature(dist)
+    dist = FlatDensity(gamma=0.01, u=U)
+    z1 = z1_quadrature(dist)
+    z2 = z2_quadrature(dist)
     r1 = z1 / (-(0.01**2) / (2.0 * U**2))
     r2 = z2 / (0.01**2 / U**2)
     worst_gap = 0.0
     for gamma in np.linspace(0.05, 2.0, 79):
         if abs(math.sqrt(3.0) * gamma - U) < 1e-3:
             continue
-        quad_val = analytic.z1_quadrature(ensemble.FlatDistribution(gamma=gamma, u=U))
+        quad_val = z1_quadrature(FlatDensity(gamma=gamma, u=U))
         closed = analytic.z1_flat_closed_form(gamma, U)
         worst_gap = max(worst_gap, abs(quad_val - closed))
     ok = abs(r1 - 1.0) <= 0.01 and abs(r2 - 1.0) <= 0.01 and worst_gap <= 1e-8

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import FlatDensity, z1_quadrature, z2_quadrature
 
 from sshlab.analytic import (
     critical_gamma,
     critical_gamma_weak,
     critical_w,
+    critical_w_weak,
     erf,
     fluctuation_width,
     mean_nu_analytic,
     variance_nu,
     z1_flat_closed_form,
-    z1_quadrature,
     z2_flat_closed_form,
-    z2_quadrature,
 )
 from sshlab.cli import default_config
 from sshlab.ensemble import FlatDistribution
@@ -71,22 +71,22 @@ class TestErf:
 
 class TestZ1:
     def test_zero_disorder(self):
-        assert z1_quadrature(FlatDistribution(gamma=0.0, u=1.0)) == 0.0
+        assert z1_quadrature(FlatDensity(gamma=0.0, u=1.0)) == 0.0
 
     def test_weak_disorder_asymptotics(self):
         gamma, u = 0.01, 1.0
-        z1 = z1_quadrature(FlatDistribution(gamma=gamma, u=u))
+        z1 = z1_quadrature(FlatDensity(gamma=gamma, u=u))
         assert z1 / (-(gamma**2) / (2.0 * u**2)) == pytest.approx(1.0, rel=0.01)
 
     def test_quadrature_matches_closed_form(self):
         for gamma in (0.1, 0.3, 0.9, 1.5):
-            quad_val = z1_quadrature(FlatDistribution(gamma=gamma, u=1.0))
+            quad_val = z1_quadrature(FlatDensity(gamma=gamma, u=1.0))
             assert quad_val == pytest.approx(z1_flat_closed_form(gamma, 1.0), abs=1e-8)
 
     def test_closed_form_supports_negative_couplings(self):
         # support reaching past -u switches the integrand to |1 + eps/u|
         gamma = 1.5
-        quad_val = z1_quadrature(FlatDistribution(gamma=gamma, u=1.0))
+        quad_val = z1_quadrature(FlatDensity(gamma=gamma, u=1.0))
         assert quad_val == pytest.approx(z1_flat_closed_form(gamma, 1.0), abs=1e-8)
 
     def test_closed_form_small_gamma_limit(self):
@@ -112,16 +112,16 @@ class TestZ1:
 
 class TestZ2:
     def test_zero_disorder(self):
-        assert z2_quadrature(FlatDistribution(gamma=0.0, u=1.0)) == 0.0
+        assert z2_quadrature(FlatDensity(gamma=0.0, u=1.0)) == 0.0
 
     def test_weak_disorder_asymptotics(self):
         gamma, u = 0.01, 1.0
-        z2 = z2_quadrature(FlatDistribution(gamma=gamma, u=u))
+        z2 = z2_quadrature(FlatDensity(gamma=gamma, u=u))
         assert z2 / (gamma**2 / u**2) == pytest.approx(1.0, rel=0.01)
 
     def test_nonnegative(self):
         for gamma in (0.05, 0.3, 0.57, 0.9, 1.7):
-            assert z2_quadrature(FlatDistribution(gamma=gamma, u=1.0)) >= 0.0
+            assert z2_quadrature(FlatDensity(gamma=gamma, u=1.0)) >= 0.0
 
 
 _SWITCH_GAMMA = 0.5 / math.sqrt(3.0)  # a = sqrt3 gamma/|u| = 1/2 at u = 1
@@ -165,7 +165,7 @@ class TestZ2ClosedForm:
 
     def test_matches_quadrature_on_the_c05_grid(self):
         for gamma in np.linspace(0.05, 2.0, 79):
-            quad_val = z2_quadrature(FlatDistribution(gamma=float(gamma), u=1.0))
+            quad_val = z2_quadrature(FlatDensity(gamma=float(gamma), u=1.0))
             assert abs(z2_flat_closed_form(float(gamma), 1.0) - quad_val) <= 1e-12
 
     @pytest.mark.parametrize("gamma, u", [(0.0, 1.0), (-0.1, 1.0), (0.3, 0.0)])
@@ -179,7 +179,7 @@ class TestZ2ClosedForm:
             if gamma == 0.0:
                 continue  # the exact step, no z2
             z1 = z1_flat_closed_form(gamma, cfg.u)
-            z2 = z2_quadrature(FlatDistribution(gamma=gamma, u=cfg.u))
+            z2 = z2_quadrature(FlatDensity(gamma=gamma, u=cfg.u))
             shift = math.log(cfg.u / cfg.w) + z1
             expected = 0.5 * (1.0 - erf(math.sqrt(cfg.n) * shift / math.sqrt(2.0 * z2)))
             assert abs(mean_nu_analytic(cfg.n, cfg.u, cfg.w, gamma) - expected) <= 1e-13
@@ -227,7 +227,7 @@ class TestCriticalSurfaces:
 
     def test_matches_quadrature_oracle(self):
         gamma = 0.3
-        z1 = z1_quadrature(FlatDistribution(gamma=gamma, u=1.0))
+        z1 = z1_quadrature(FlatDensity(gamma=gamma, u=1.0))
         assert critical_w(1.0, gamma) == pytest.approx(math.exp(z1), rel=1e-10)
 
     def test_weak_disorder_consistency(self):
@@ -241,6 +241,19 @@ class TestCriticalSurfaces:
         assert critical_gamma_weak(1.0, 0.8) == pytest.approx(math.sqrt(0.4), rel=1e-12)
         assert critical_gamma_weak(1.0, 0.8) == pytest.approx(0.63246, abs=5e-6)
         assert critical_gamma_weak(1.0, 0.95) == pytest.approx(0.31623, abs=5e-6)
+
+    def test_critical_w_weak_is_the_leading_order(self):
+        for u in (1.0, 0.7, 1.3, -1.3):
+            for gamma in np.linspace(0.0, 0.3 * abs(u), 13):
+                w0 = critical_w_weak(u, float(gamma))
+                assert abs(w0 - critical_w(u, float(gamma))) <= gamma**4 / abs(u) ** 3
+                if gamma > 0.0 and u > 0.0:
+                    assert critical_gamma_weak(u, w0) == pytest.approx(gamma, abs=1e-12)
+        # nan once u - gamma^2/(2u) no longer has the sign of u
+        assert critical_w_weak(1.0, 1.4) > 0.0
+        assert math.isnan(critical_w_weak(1.0, 1.5)) and math.isnan(critical_w_weak(-1.3, 2.0))
+        with pytest.raises(ValueError):
+            critical_w_weak(0.0, 0.1)
 
     def test_critical_gamma_weak_rejects_topological(self):
         with pytest.raises(ValueError):

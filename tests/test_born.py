@@ -222,6 +222,13 @@ class TestNarrowPeakForms:
         with pytest.raises(ValueError):
             f_narrow_peak(-0.1, 1.0, 1e-4)
 
+    def test_g_is_positive_zero_at_zero_dimerization(self):
+        # -delta/(...) is -0.0 at delta = 0; the CSV would print it as "-0"
+        for u in (1.0, 0.7, -1.3):
+            g = g_narrow_peak(0.0, u, 1e-6)
+            assert math.copysign(1.0, g.real) == 1.0 and math.copysign(1.0, g.imag) == 1.0
+        assert g_narrow_peak(0.1, 1.0, 1e-6).real == -0.1 / (2.0 * math.sqrt(0.01 + 1e-12))
+
 
 class TestAveragedGreensFunction:
     def test_no_disorder_reduces_to_bare(self):

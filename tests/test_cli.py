@@ -297,7 +297,8 @@ class TestRunners:
             paths[t] = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
             metas[t] = json.loads(paths[t].with_suffix(".csv.meta.json").read_text())
         assert (metas[1]["workers"], metas[1]["pool_started"]) == (1, False)
-        assert metas[2]["workers"] == min(2, os.cpu_count() or 1) and metas[2]["pool_started"]
+        assert metas[2]["workers"] == min(2, os.cpu_count() or 1)
+        assert metas[2]["pool_started"] == (metas[2]["workers"] > 1)
         assert metas[0]["threads"] == 0 and metas[0]["workers"] == (os.cpu_count() or 1)
         assert paths[1].read_bytes() == paths[2].read_bytes() == paths[0].read_bytes()
         replay = run_experiment(
@@ -314,6 +315,26 @@ class TestRunners:
         assert (meta["threads"], meta["workers"], meta["pool_started"]) == (4, 2, True)
         assert fake_pool == [2]
         assert (tmp_path / "nu4.csv").read_bytes() == (tmp_path / "nu1.csv").read_bytes()
+
+    def test_one_cpu_starts_no_pool(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from sshlab import ensemble
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        # 2 gamma x 6 rings in blocks of 4: pooled wherever two processes may start
+        cfg = tiny("gap-scan", tmp_path, n=10, realizations=6)
+        one = run_experiment(replace(cfg, threads=1, out=str(tmp_path / "gs1.csv")))
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 1)
+        for t in (0, 2, 4):
+            path = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
+            meta = json.loads(path.with_suffix(".csv.meta.json").read_text())
+            assert (meta["threads"], meta["workers"], meta["pool_started"]) == (t, 1, False)
+            assert [s["pooled"] for s in meta["sweeps"]] == [False, False]
+            assert path.read_bytes() == one.read_bytes()
 
     def test_sidecar_records_thread_env(self, tmp_path, monkeypatch):
         from dataclasses import replace
@@ -355,6 +376,34 @@ class TestRunners:
         em = run_experiment(tiny("edge-modes", tmp_path, n=10, realizations=4, threads=2))
         sweeps = json.loads(em.with_suffix(".csv.meta.json").read_text())["sweeps"]
         assert [(s["blocks"], s["pooled"]) for s in sweeps] == [(1, False), (1, False)]
+
+    def test_phase_diagram_weak_boundary_is_the_leading_order(self, tmp_path):
+        from sshlab.analytic import critical_gamma_weak
+
+        gammas = (0.0, 0.05, 0.1, 0.2, 0.3)
+        cfg = tiny("phase-diagram", tmp_path, n=4, gamma_grid=gammas, w_grid=(0.9,))
+        text = data_section(run_experiment(cfg))
+        for gamma, row in zip(gammas, text.splitlines()):
+            cols = row.split(",")
+            w0, w0_weak = float(cols[4]), float(cols[5])
+            # u - gamma^2/(2u) against u exp(z1), z1 = -gamma^2/(2u^2) - gamma^4/(4u^4) + ...
+            assert abs(w0_weak - w0) <= gamma**4
+            if gamma > 0.0:
+                assert critical_gamma_weak(1.0, w0_weak) == pytest.approx(gamma, abs=1e-12)
+        cfg = tiny("phase-diagram", tmp_path, n=4, gamma_grid=(0.5, 1.5), w_grid=(0.9,))
+        rows = data_section(run_experiment(cfg)).splitlines()
+        assert [row.split(",")[5] for row in rows] == ["0.875", "nan"]
+
+    def test_born_zero_dimerization_prints_positive_zero(self, tmp_path):
+        out = tmp_path / "born.csv"
+        argv = ["born", "--w-grid", "1.0", "--gamma-grid", "0.1,0.2", "--out", str(out)]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        columns = lines[2][len("# columns: ") :].split(",")
+        rows = [line.split(",") for line in lines[3:]]
+        assert len(rows) == 2
+        assert all(row[columns.index("g_np_re")] == "0" for row in rows)
+        assert not any(field == "-0" for row in rows for field in row)
 
     def test_born_runs(self, tmp_path):
         cfg = tiny(
@@ -408,15 +457,12 @@ class TestMainEntry:
         assert proc.stdout.strip() == str(out)
         assert len(data_section(out).splitlines()) == 2
 
-    def test_only_density_quadratures_import_scipy(self, tmp_path):
+    def test_runtime_loads_no_scipy(self, tmp_path):
         script = textwrap.dedent(
             """
             import sys
             from dataclasses import replace
-            from sshlab import analytic, cli, ensemble
-
-            def scipy_loaded():
-                return sorted(m for m in sys.modules if m.startswith("scipy"))
+            from sshlab import cli
 
             tiny = dict(n=8, realizations=4, gamma_grid=(0.1, 0.4), threads=1)
             names = ("mean-nu", "gap-scan", "edge-modes", "phase-diagram", "invariant", "born")
@@ -425,8 +471,25 @@ class TestMainEntry:
                 if cfg.w_grid:
                     cfg = replace(cfg, w_grid=(0.8, 1.1))
                 cli.run_experiment(cfg)
-                assert not scipy_loaded(), (name, scipy_loaded())
-            analytic.z2_quadrature(ensemble.FlatDistribution(0.3, 1.0))
+            assert cli.run_selftest() == 0
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+            assert not loaded, loaded
+            print("ok")
+            """
+        )
+        proc = run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "ok"
+
+    def test_density_quadrature_oracle_imports_scipy(self, tmp_path):
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.path.insert(0, {str(Path(__file__).parent)!r})
+            from oracles import FlatDensity, z2_quadrature
+
+            assert not any(m.startswith("scipy") for m in sys.modules)
+            z2_quadrature(FlatDensity(0.3, 1.0))
             assert "scipy.integrate" in sys.modules
             print("ok")
             """

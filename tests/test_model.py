@@ -6,6 +6,7 @@ import pytest
 from oracles import flux_dense, jacobi_eigenvalues, lu_determinant
 from sshlab.model import (
     BoundaryCondition,
+    ChainMatrix,
     ChainParams,
     Realization,
     build_chain,
@@ -13,6 +14,7 @@ from sshlab.model import (
     chain_couplings,
     coherence_length,
     dispersion,
+    gershgorin_radii,
 )
 from sshlab.spectrum import eigenvalues_dense, eigenvalues_tridiagonal
 
@@ -171,6 +173,29 @@ class TestCoherenceLength:
     def test_reference_value(self):
         assert coherence_length(0.8, 1.0) == pytest.approx(1.0 / math.log(1.25))
         assert coherence_length(0.8, 1.0) == pytest.approx(4.4814, abs=5e-5)
+
+
+class TestGershgorin:
+    def test_norm_bound_is_the_largest_dense_row_sum(self):
+        # two nonzero entries per row at most, so any summation order gives the same bits
+        rng = np.random.default_rng(43)
+        for size in range(4, 41):
+            e = rng.uniform(-2.0, 2.0, size - 1)
+            e[rng.random(size - 1) < 0.25] = 0.0
+            for corner in (None, float(rng.uniform(-2.0, 2.0)), 0.0):
+                m = ChainMatrix(offdiag=e, corner=corner)
+                assert m.norm_bound() == np.abs(m.to_dense()).sum(axis=1).max()
+
+    def test_rows_are_independent_chains(self):
+        rng = np.random.default_rng(44)
+        e = rng.uniform(-1.5, 1.5, (5, 9))
+        corners = rng.uniform(-1.0, 1.0, 5)
+        radii = gershgorin_radii(e, corners)
+        for row, corner, expected in zip(e, corners, radii):
+            np.testing.assert_array_equal(gershgorin_radii(row, corner), expected)
+            dense = np.abs(ChainMatrix(offdiag=row, corner=corner).to_dense()).sum(axis=1)
+            np.testing.assert_array_equal(expected, dense)
+        np.testing.assert_array_equal(gershgorin_radii(e)[:, 1:-1], radii[:, 1:-1])
 
 
 class TestSpectralInvariants:
