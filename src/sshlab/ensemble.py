@@ -6,12 +6,14 @@ bit-identical no matter how many workers evaluate the ensemble or in which
 order they run.  A sweep is a list of points (distribution, seed) that
 share chain parameters and a realization count r; its row k is realization
 k % r of point k // r.  A block is a `range` of consecutive rows, sized by
-the sweep's shape only.  Each estimator maps its blocks over worker
-processes (the kernels are CPU bound in Python loops); a worker samples its
-block's rows into one array and keeps it an array down to the batched
-kernels, so one kernel call serves rows of several points, and the
-reduction splits the results by point in index order.  A one-point
-estimate is a sweep of one point.  The index of a block comes from its row
+the sweep's shape only: a fixed row count for the index, eta and profile
+estimators, and for gaps a count read from the sweep's row and dimer
+counts, so that a small ring sweep is one kernel call.  Each estimator
+maps its blocks over worker processes (the kernels are CPU bound in Python
+loops); a worker samples its block's rows into one array and keeps it an
+array down to the batched kernels, so one kernel call serves rows of
+several points, and the reduction splits the results by point in index
+order.  A one-point estimate is a sweep of one point.  The index of a block comes from its row
 sums acc_i = sum_j log|c_ij/u|.
 """
 
@@ -48,10 +50,12 @@ _MASK64 = (1 << 64) - 1
 # rows per block of the batched midgap-profile kernels: at n = 100 one call
 # of 128 chains costs about a quarter of the same chains in calls of 16
 _PROFILE_BLOCK = 128
-# rows per block of the gap estimator: the Golub-Kahan chains of a block's
-# rings share one midgap_levels call, and a handful of rings still spreads
-# over the workers
-_GAP_BLOCK = 4
+# rows per block of the gap estimator (`_gap_block_rows`): up to
+# _GAP_BLOCK_DIMERS dimers share one block, and so the per-site numpy calls
+# of the ring reduction and of the bisection, and a block holds at most
+# _GAP_BLOCK_MAX rings, so a long sweep still spreads over the workers
+_GAP_BLOCK_DIMERS = 4000
+_GAP_BLOCK_MAX = 64
 # rows per block of the index and eta ensembles (about 10 us each at
 # n = 100): a sweep of one block runs in-process, and with blocks this
 # large two workers beat one at r = 1000 and r = 15000 (2 cores), while at
@@ -299,6 +303,20 @@ def _profile_block(params, points, r, rows):
     return (per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True)),)
 
 
+def _gap_block_rows(rows: int, n: int) -> int:
+    """Rows per block of a gap sweep of `rows` chains of n dimers.
+
+    At most b = min(_GAP_BLOCK_MAX, max(ceil(_GAP_BLOCK_DIMERS/n),
+    ceil(rows/2))) rows, spread evenly: ceil(rows/k) rows in each of
+    k = ceil(rows/b) blocks.  So a sweep is one block up to
+    min(_GAP_BLOCK_MAX, ceil(_GAP_BLOCK_DIMERS/n)) rows, two halves up to
+    2*_GAP_BLOCK_MAX rows, and near-equal blocks of at most _GAP_BLOCK_MAX
+    beyond.  The worker count plays no part.
+    """
+    cap = min(_GAP_BLOCK_MAX, max(-(-_GAP_BLOCK_DIMERS // n), -(-rows // 2)))
+    return -(-rows // max(1, -(-rows // cap)))
+
+
 def _gap_block(params, points, r, rows):
     """The gaps of a block's chains from one batched level call (`chain_gaps`)."""
     offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows))
@@ -363,12 +381,15 @@ def sweep_mean_gap(
 ) -> list[EnsembleEstimate]:
     """Mean spectral gap 2*min|E_j| over r realizations at each point.
 
-    _GAP_BLOCK chains per block, so a handful of rings spreads over the
-    workers.
+    The blocks are sized by `_gap_block_rows` from the sweep's row count
+    and n: a sweep of at most 4000 dimers (perfbench's 8 rings of 250) is
+    one in-process block, c06's 100 rings of 300 two blocks of 50, the
+    1700-ring CLI default 27 blocks of at most 64.
     """
     if r < 1:
         raise ValueError("need at least 1 realization")
-    (gaps,) = _map_sweep("mean_gap", _gap_block, params, points, r, _GAP_BLOCK, threads)
+    block = _gap_block_rows(len(points) * r, params.n)
+    (gaps,) = _map_sweep("mean_gap", _gap_block, params, points, r, block, threads)
     return [
         EnsembleEstimate("mean_gap", *map(float, _mean_stderr(rows)), r, seed)
         for (_, seed), rows in zip(points, gaps)

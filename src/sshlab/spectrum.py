@@ -2,17 +2,18 @@
 
 Self-contained kernels, no external linear-algebra backends.  One batched
 Sturm-bisection kernel, `_bisect_levels`, gives any levels of a stack of
-symmetric tridiagonal chains: all of one chain (`eigvals_sturm`) or the
-four central ones of open chains (`midgap_levels`).  A batched
-shift-and-invert kernel gives the open-chain midgap pair, and Householder
-reduction takes dense symmetric matrices to tridiagonal form.
+symmetric tridiagonal chains: all of one chain (`eigvals_sturm`), the
+four central ones of open chains (`midgap_levels`) or the two a gap needs
+(`chain_gaps`).  A batched shift-and-invert kernel gives the open-chain
+midgap pair, and Householder reduction takes dense symmetric matrices to
+tridiagonal form.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  Rings
 reach their gap through a batched Householder bidiagonalization of Q that
 updates only the window where fill-in lives; its Golub-Kahan tridiagonal
-is a zero-diagonal open chain with the same levels, and `midgap_levels`
-bisects it.  `chain_gaps` takes the gaps of a block of open chains or even
+is a zero-diagonal open chain with the same levels, whose central pair
+is bisected.  `chain_gaps` takes the gaps of a block of open chains or even
 rings given as coupling arrays; `chain_gap(m)` is its one-row call for a
 single matrix, and the only route to the whole spectrum for the chains it
 rejects (under 4 sites, odd rings).  `gap_resolution` is the smallest gap
@@ -534,10 +535,16 @@ def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
 
     `offdiag` (B, N-1) holds each chain's nearest-neighbour bonds.  With
     `corner` None the chains are open; otherwise they are even rings closed
-    by `corner`, a scalar or one value per row.  One `midgap_levels` call
-    bisects the four central levels of every row: an open chain's own
-    (gaps bit-identical to the full spectrum's), a ring's Golub-Kahan chain,
-    reduced _RING_CHUNK rings per call to bound the buffers.  Rows are
+    by `corner`, a scalar or one value per row.  One `_bisect_levels` call
+    bisects levels N/2-1 and N/2 of every row (and N/2+1 for odd N): an
+    open chain's own, or a ring's Golub-Kahan chain, reduced _RING_CHUNK
+    rings per call to bound the buffers.  The levels are those of
+    `midgap_levels` that can be the smallest in magnitude (the lower ones
+    end at or below 0, the upper at or above), so the gap is 2*min|E| of
+    its four, and of the full spectrum, bit for bit.  Level N/2 alone would
+    not do: a zero-diagonal chain's Sturm pivots at -x are the negatives of
+    those at x, except that one cancelling to zero is +0.0 at both, so the
+    bisection of level N/2 need not mirror that of N/2-1.  Rows are
     independent, so each gap is bit-identical to `chain_gap` of that chain
     alone.
     """
@@ -554,7 +561,9 @@ def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
             couplings[rows] = _golub_kahan_chains(
                 couplings[rows, 0::2], couplings[rows, 1::2], corner[rows]
             )
-    return 2.0 * np.min(np.abs(midgap_levels(couplings)), axis=1)
+    half = size // 2
+    levels = _bisect_levels(couplings, np.arange(half - 1, half + 1 + size % 2))
+    return 2.0 * np.min(np.abs(levels), axis=1)
 
 
 def gap_resolution(m: ChainMatrix) -> float:

@@ -291,7 +291,8 @@ class TestRunners:
         import os
         from dataclasses import replace
 
-        cfg = tiny("gap-scan", tmp_path, n=10, realizations=6)
+        # 2 gamma x 40 rings of 10 dimers: two ring blocks of 40
+        cfg = tiny("gap-scan", tmp_path, n=10, realizations=40)
         paths, metas = {}, {}
         for t in (1, 2, 0):
             paths[t] = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
@@ -324,8 +325,8 @@ class TestRunners:
         def no_pool(*args, **kwargs):
             raise AssertionError("process pool started")
 
-        # 2 gamma x 6 rings in blocks of 4: pooled wherever two processes may start
-        cfg = tiny("gap-scan", tmp_path, n=10, realizations=6)
+        # 2 gamma x 40 rings in blocks of 40: pooled wherever two processes may start
+        cfg = tiny("gap-scan", tmp_path, n=10, realizations=40)
         one = run_experiment(replace(cfg, threads=1, out=str(tmp_path / "gs1.csv")))
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 1)
@@ -336,12 +337,30 @@ class TestRunners:
             assert [s["pooled"] for s in meta["sweeps"]] == [False, False]
             assert path.read_bytes() == one.read_bytes()
 
+    def test_small_ring_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from sshlab import ensemble
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        # perfbench's gap-scan: 2 gamma x 4 rings of 250 dimers, one ring block
+        cfg = tiny("gap-scan", tmp_path, n=250, realizations=4, gamma_grid=(0.0, 0.8))
+        one = run_experiment(replace(cfg, threads=1, out=str(tmp_path / "gs1.csv")))
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        two = run_experiment(replace(cfg, threads=2, out=str(tmp_path / "gs2.csv")))
+        meta = json.loads(two.with_suffix(".csv.meta.json").read_text())
+        assert meta["pool_started"] is False
+        assert [(s["blocks"], s["pooled"]) for s in meta["sweeps"]] == [(1, False), (1, False)]
+        assert two.read_bytes() == one.read_bytes()
+
     def test_sidecar_records_thread_env(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
         from sshlab.cli import _THREAD_ENV
 
-        cfg = tiny("gap-scan", tmp_path, n=10, realizations=6, threads=2)
+        cfg = tiny("gap-scan", tmp_path, n=10, realizations=40, threads=2)
         for name in _THREAD_ENV:
             monkeypatch.delenv(name, raising=False)
         bare = run_experiment(replace(cfg, out=str(tmp_path / "bare.csv")))
@@ -361,15 +380,15 @@ class TestRunners:
     def test_sidecar_records_sweeps(self, tmp_path):
         from dataclasses import replace
 
-        cfg = tiny("gap-scan", tmp_path, n=10, realizations=6)
+        cfg = tiny("gap-scan", tmp_path, n=10, realizations=40)
         metas = {}
         for t in (1, 2):
             path = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
             metas[t] = json.loads(path.with_suffix(".csv.meta.json").read_text())
             assert "sweeps" not in path.read_text()
-        # 2 gamma x 6 rings in blocks of 4, and the 12 index rows in one block
+        # 2 gamma x 40 rings in blocks of 40, and the 80 index rows in one block
         assert metas[2]["sweeps"] == [
-            {"quantity": "mean_gap", "blocks": 3, "pooled": True},
+            {"quantity": "mean_gap", "blocks": 2, "pooled": True},
             {"quantity": "mean_nu", "blocks": 1, "pooled": False},
         ]
         assert [s["pooled"] for s in metas[1]["sweeps"]] == [False, False]

@@ -383,10 +383,10 @@ class TestWorkerPool:
                 assert ensemble._run_pools[-1].executor is None
 
     def test_rings_pool_one_per_task(self):
-        # two ring blocks spread over two workers: the gap estimator keeps pooling
-        params = ChainParams(n=6, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
+        # two ring blocks of 40 spread over two workers: the gap estimator keeps pooling
+        params = ChainParams(n=10, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
         dist = FlatDistribution(0.3, 1.0)
-        r = 2 * ensemble._GAP_BLOCK
+        r = 80
         serial = estimate_mean_gap(params, dist, r, 5, threads=1)
         with ensemble.worker_pool(2):
             pooled = estimate_mean_gap(params, dist, r, 5, threads=2)
@@ -456,7 +456,7 @@ class TestSweep:
                 estimate_mean_gap,
                 ChainParams(n=6, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC),
                 [(FlatDistribution(g, 1.0), 30 + k) for k, g in enumerate((0.0, 0.3, 0.7))],
-                ensemble._GAP_BLOCK + 1,
+                23,  # 69 rings: two blocks, the first crossing into the second point
             ),
         ],
     )
@@ -464,7 +464,7 @@ class TestSweep:
         block = {
             sweep_mean_nu: ensemble._INDEX_BLOCK,
             sweep_wavefunction_profile: ensemble._PROFILE_BLOCK,
-            sweep_mean_gap: ensemble._GAP_BLOCK,
+            sweep_mean_gap: ensemble._gap_block_rows(len(points) * r, params.n),
         }[sweep]
         starts = range(0, len(points) * r, block)
         assert len(starts) > 1
@@ -516,15 +516,61 @@ class TestSweep:
             sweep_mean_nu(critical, [good, (FlatDistribution(0.0, 1.0), 2)], 20)
 
     def test_run_logs_each_sweep(self):
-        params = ChainParams(n=6, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
+        # 2 gamma x 40 rings of 10 dimers: two ring blocks, one index block
+        params = ChainParams(n=10, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
         points = [(FlatDistribution(0.3, 1.0), 1), (FlatDistribution(0.6, 1.0), 2)]
         with ensemble.worker_pool(2) as pool:
-            sweep_mean_gap(params, points, 3, threads=2)
-            sweep_mean_nu(params, points, 3, threads=2)
+            sweep_mean_gap(params, points, 40, threads=2)
+            sweep_mean_nu(params, points, 40, threads=2)
         assert pool.sweeps == [
             {"quantity": "mean_gap", "blocks": 2, "pooled": True},
             {"quantity": "mean_nu", "blocks": 1, "pooled": False},
         ]
+
+
+class TestGapBlocks:
+    """Ring blocks sized by the sweep's row and dimer counts, never by the workers."""
+
+    @pytest.mark.parametrize(
+        "points, r, n, sizes",
+        [
+            (2, 4, 250, [8]),  # perfbench's gap-scan: one block, no pool
+            (1, 100, 300, [50, 50]),  # a c06 point
+            (17, 100, 300, [63] * 26 + [62]),  # the CLI default: 27 blocks of at most 64
+            (2, 40, 10, [40, 40]),
+        ],
+    )
+    def test_rule_table(self, monkeypatch, fake_pool, points, r, n, sizes):
+        seen = []
+
+        def worker(_params, _points, _r, rows):
+            seen.append(len(rows))
+            return (np.zeros(len(rows)),)
+
+        monkeypatch.setattr(ensemble, "_gap_block", worker)
+        params = ChainParams(n=n, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
+        sweep = [(FlatDistribution(0.3, 1.0), p) for p in range(points)]
+        for threads in (1, 2, 0):
+            seen.clear()
+            with ensemble.worker_pool(threads) as pool:
+                sweep_mean_gap(params, sweep, r, threads=threads)
+            pooled = threads != 1 and len(sizes) > 1
+            assert seen == sizes
+            assert pool.sweeps == [{"quantity": "mean_gap", "blocks": len(sizes), "pooled": pooled}]
+
+    def test_sweep_bytes_equal_blocks_of_four(self):
+        # 3 gamma x 27 rings of 10 dimers: blocks of 41 and 40 rows, against blocks of 4
+        params = ChainParams(n=10, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
+        points = [(FlatDistribution(g, 1.0), 60 + k) for k, g in enumerate((0.0, 0.55, 1.2))]
+        r = 27
+        assert ensemble._gap_block_rows(len(points) * r, params.n) == 41
+        (gaps,) = ensemble._map_sweep("mean_gap", ensemble._gap_block, params, points, r, 4, 1)
+        for threads in (1, 2):
+            swept = sweep_mean_gap(params, points, r, threads=threads)
+            for est, rows in zip(swept, gaps):
+                mean, stderr = ensemble._mean_stderr(rows)
+                assert np.float64(est.value).tobytes() == mean.tobytes()
+                assert np.float64(est.stderr).tobytes() == stderr.tobytes()
 
 
 class TestWidthFactor:

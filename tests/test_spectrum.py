@@ -522,6 +522,51 @@ class TestGolubKahanChains:
                     chain_gaps(np.full((2, size - 1), 0.9), corner)
 
 
+class TestCentralPairGap:
+    """`chain_gaps` bisects levels N/2-1 and N/2, and gets 2*min|E| of the four central ones."""
+
+    # a pivot cancelling to +0.0 at x and -x alike parts the two bisections:
+    # the IEEE count leaves level N/2-1 the nearer to zero, the clamped one N/2
+    MIRROR_BROKEN = (
+        ("-0x1.0ee60f52532f0p+0", "-0x1.3097198abcbe8p-2", "-0x1.85a600d670ebcp-1"),
+        ("0x1.9995cfcabec3ap+0", "0x0.0p+0", "0x1.17df20a4dab18p-2"),
+    )
+
+    def test_mirror_broken_chains(self):
+        for row, nearer in zip(self.MIRROR_BROKEN, (1, 2)):
+            e = np.array([[float.fromhex(x) for x in row]])
+            levels = np.abs(midgap_levels(e)[0])
+            assert levels[nearer] < levels[3 - nearer]
+            assert chain_gaps(e)[0] == 2.0 * levels[nearer]
+
+    def test_bit_identical_to_four_central_levels(self):
+        # signed bonds, then exact-zero, 1e-170 (squares underflow to the
+        # clamped route) and 2^+-600 bonds (squares under- and overflow)
+        rng = np.random.default_rng(58)
+        checked = 0
+        with np.errstate(all="ignore"):
+            for size in [*range(4, 41), 61, 120, 238]:
+                e = rng.uniform(-2.0, 2.0, (24, size - 1))
+                e[4:8, rng.integers(0, size - 1, 2)] = 0.0
+                e[8:12, rng.integers(0, size - 1, 2)] = 1e-170
+                e[12:16] *= 2.0**600
+                e[16:20] *= 2.0**-600
+                corners = rng.uniform(-2.0, 2.0, len(e)) * np.repeat([1.0, 2.0**600, 2.0**-600], 8)
+                blocks = [(None, e)]
+                if size % 2 == 0:
+                    chains = spectrum._golub_kahan_chains(e[:, 0::2], e[:, 1::2], corners)
+                    blocks.append((corners, chains))
+                for corner, levels_of in blocks:
+                    gaps = chain_gaps(e, corner)
+                    expected = 2.0 * np.min(np.abs(midgap_levels(levels_of)), axis=1)
+                    assert gaps.tobytes() == expected.tobytes()
+                    for k in range(0, len(e), 5):
+                        c = None if corner is None else corner[k]
+                        assert chain_gap(ChainMatrix(offdiag=e[k], corner=c)) == gaps[k]
+                    checked += len(e)
+        assert checked >= 1000
+
+
 def mixed_gamma_block(bc, n=12, per=3):
     """Chains of `per` realizations at each of four disorder strengths, one
     block: clean, weak, strong and past the sign change of the couplings,
