@@ -227,9 +227,9 @@ def critical_gamma_weak(u: float, w: float) -> float:
 def critical_gamma(u: float, w: float, bracket: tuple[float, float] | None = None) -> float:
     """Numerically invert the boundary condition mean_nu = 1/2 for gamma.
 
-    Generic bisection utility on log|u/w| + z1(gamma); scans the bracket
-    for the first sign change and bisects it.  Raises when the bracket
-    contains no crossing.
+    Generic bisection utility on log|u/w| + z1(gamma); scans the bracket,
+    both ends included, for the first zero or sign change and bisects it.
+    Raises when the bracket contains no crossing.
     """
     if u == 0.0 or w == 0.0:
         raise ValueError("u and w must be nonzero")
@@ -242,11 +242,11 @@ def critical_gamma(u: float, w: float, bracket: tuple[float, float] | None = Non
         z1 = 0.0 if g == 0.0 else z1_flat_closed_form(g, au)
         return math.log(au / abs(w)) + z1
 
-    grid = [lo + (hi - lo) * j / 256 for j in range(257)]
+    grid = [lo + (hi - lo) * j / 256 for j in range(256)] + [hi]
     vals = [shift(g) for g in grid]
     for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        if fa == 0.0:
-            return a
+        if fa == 0.0 or fb == 0.0:
+            return a if fa == 0.0 else b
         if fa * fb < 0.0:
             for _ in range(200):
                 mid = 0.5 * (a + b)

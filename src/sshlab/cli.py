@@ -64,6 +64,9 @@ class RunConfig:
             raise ValueError("format must be 'csv' or 'json'")
         if self.threads < 0:
             raise ValueError("threads must be >= 0")
+        for key in ("u", "w", "alpha", "gamma_grid", "w_grid"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise ValueError(f"{key} must be finite")
         for name, grid in (("gamma_grid", self.gamma_grid), ("w_grid", self.w_grid)):
             if grid and any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
@@ -487,7 +490,7 @@ def run_selftest() -> int:
             np.array_equal(spectrum.midgap_levels(m.offdiag)[0], ev[6:10]),
         )
     )
-    v_minus, v_plus = spectrum.midgap_pair(m, res)
+    v_minus, v_plus = spectrum.midgap_pair(m)
     resid = [m.matvec(v) - 0.5 * sign * res.gap * v for v, sign in ((v_plus, 1), (v_minus, -1))]
     checks.append(("midgap pair", max(map(np.linalg.norm, resid)) <= 1e-10 * m.norm_bound()))
     # 40 dimers: the ring kernel slides its window, then reduces the natural block

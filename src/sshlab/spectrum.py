@@ -4,9 +4,10 @@ Self-contained kernels, no external linear-algebra backends.  One batched
 Sturm-bisection kernel, `_bisect_levels`, gives any levels of a stack of
 symmetric tridiagonal chains: all of one chain (`eigvals_sturm`), the
 four central ones of open chains (`midgap_levels`) or the two a gap needs
-(`chain_gaps`).  A batched shift-and-invert kernel gives the open-chain
-midgap pair, and Householder reduction takes dense symmetric matrices to
-tridiagonal form.
+(`chain_gaps`), with one IEEE Sturm counter on rows scaled by a power of
+two (`_row_scale`, shared by every kernel on coupling rows).  A batched
+shift-and-invert kernel gives the open-chain midgap pair, and Householder
+reduction takes dense symmetric matrices to tridiagonal form.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  Rings
@@ -74,6 +75,17 @@ class SpectralResult:
 # kernels
 
 
+def _row_scale(*parts: np.ndarray) -> np.ndarray:
+    """Per row, the power of two that brings the largest |entry| of `parts` into [1/2, 1).
+
+    Each part is (R, k); the result is (R, 1), 1 for an all-zero row.  A
+    division by it is exact unless the quotient is subnormal, so rows times
+    2^k give 2^k times the kernels' bits.
+    """
+    big = np.max([np.abs(p).max(axis=1) for p in parts], axis=0)
+    return np.ldexp(1.0, np.frexp(big)[1])[:, None]
+
+
 def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a real symmetric matrix to tridiagonal form (d, e).
 
@@ -137,17 +149,15 @@ def _golub_kahan_chains(u: np.ndarray, w: np.ndarray, corner: np.ndarray) -> np.
     ks = (n - 5 - slack) // 2 the natural trailing block [ks, n)^2.  The
     same step then runs on it to the end.
 
-    Each ring is scaled by the power of two that brings its largest bond
-    into [1/2, 1), which is exact, so no norm under- or overflows; a column
-    or row whose norm is still zero skips its reflector.  Each ring's
-    arithmetic is independent of the other rows.
+    Each ring is divided by its `_row_scale`, so no norm under- or
+    overflows; a column or row whose norm is still zero skips its
+    reflector.  Each ring's arithmetic is independent of the other rows.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     w = np.atleast_2d(np.asarray(w, dtype=float))
     corner = np.atleast_1d(np.asarray(corner, dtype=float))
     rings, n = u.shape
-    bonds = np.abs(np.concatenate((u, w, corner[:, None]), axis=1))
-    scale = np.ldexp(1.0, np.frexp(bonds.max(axis=1))[1])[:, None]
+    scale = _row_scale(u, w, corner[:, None])
     u, w, corner = u / scale, w / scale, corner / scale[:, 0]
     slack = 1 - n % 2
     ks = max(0, (n - 5 - slack) // 2)
@@ -288,57 +298,63 @@ def midgap_levels(offdiag: np.ndarray) -> np.ndarray:
 def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     """Sorted eigenvalues `which` (0-based) of tridiag(d[r], e[r]), one chain per row r.
 
-    d is None for zero diagonals.  Every level bisects the Gershgorin
+    d is None for zero diagonals.  Each row is divided by its `_row_scale`
+    and its levels are multiplied back, so no squared coupling over- or
+    underflows for scale alone, and a row times 2^k gives 2^k times the
+    same bits.  A square that is still zero is floored at the smallest
+    subnormal, which moves a level by about 1e-162 of the scaled bound at
+    most; with no zero square the IEEE negative-pivot count of
+    `_sturm_count` is exact (Demmel, Dhillon & Ren, ETNA 3, 1995), so every
+    row takes that one counter.  Every level bisects the Gershgorin
     interval [-bound, bound], bound = max_i |d_i| + |e_{i-1}| + |e_i|, at
     0.5*(lo + hi) until all of its row's intervals are within 1e-14*bound,
     and is then its interval's midpoint.  One Sturm pass counts every
     midpoint of a bisection subtree, then the path is walked level by level,
     so the passes over the sites drop by the subtree depth, which keeps a
-    pass near 1000 shifts (up to 6 for few rows x targets).  Rows with an
-    exactly zero squared coupling take `_sturm_count_clamped`, the others
-    `_sturm_count`.  Each row's arithmetic is independent of the other rows
-    and of the depth.
+    pass near 1000 shifts (up to 6 for few rows x targets).  Each row's
+    arithmetic is independent of the other rows and of the depth.
     """
-    targets = np.asarray(which) + 1
+    scale = _row_scale(e) if d is None else _row_scale(e, d)
+    e = e / scale
     radius = gershgorin_radii(e)
     if d is not None:
+        d = d / scale
         radius = np.abs(d) + radius
+    targets = np.asarray(which) + 1
     bound = radius.max(axis=1, keepdims=True)
     hi = np.repeat(bound, len(targets), axis=1)
     lo = -hi
-    e2 = e * e
-    clamped = e2.min(axis=1) == 0.0
-    for route, count in ((~clamped, _sturm_count), (clamped, _sturm_count_clamped)):
-        # a zero bound leaves every level at 0.5*(-0.0 + 0.0) = 0.0
-        act = np.flatnonzero(route & (bound[:, 0] > 0.0))
-        depth = max(1, min(6, round(math.log2(1024 / max(1, len(act) * len(targets)) + 1))))
-        steps = 0
-        while len(act):
-            a_lo, a_hi, a_bound = lo[act], hi[act], bound[act]
-            # levels left if intervals halve cleanly; width/bound is finite where tol underflows
-            need = math.log2(1e14 * float(np.max((a_hi - a_lo) / a_bound)))
-            levels = min(depth, max(1, math.ceil(need)))
-            mids = _subtree_midpoints(a_lo, a_hi, levels)
-            a_d = None if d is None else d[act]
-            counts = count(e2[act], mids.reshape(len(act), -1), a_d).reshape(mids.shape)
-            node = np.zeros(a_lo.shape, dtype=np.intp)
-            done = np.zeros(len(act), dtype=bool)
-            for level in range(levels):
-                pos = (node + (1 << level) - 1)[..., None]
-                mid = np.take_along_axis(mids, pos, -1)[..., 0]
-                below = np.take_along_axis(counts, pos, -1)[..., 0] >= targets
-                a_hi = np.where(below & ~done[:, None], mid, a_hi)
-                a_lo = np.where(below | done[:, None], a_lo, mid)
-                node = 2 * node + ~below
-                steps += 1
-                done |= np.all(a_hi - a_lo <= 1e-14 * a_bound, axis=1)
-                if steps == 128 or done.all():
-                    break
-            lo[act], hi[act] = a_lo, a_hi
-            act = act[~done]
-            if steps == 128 and len(act):
-                raise ConvergenceError("bisection failed to localize the levels")
-    return 0.5 * (lo + hi)
+    e2 = np.maximum(e * e, np.nextafter(0.0, 1.0))
+    # a zero bound leaves every level at 0.5*(-0.0 + 0.0) = 0.0
+    act = np.flatnonzero(bound[:, 0] > 0.0)
+    depth = max(1, min(6, round(math.log2(1024 / max(1, len(act) * len(targets)) + 1))))
+    steps = 0
+    while len(act):
+        a_lo, a_hi, a_bound = lo[act], hi[act], bound[act]
+        # levels left if intervals halve cleanly
+        need = math.log2(1e14 * float(np.max((a_hi - a_lo) / a_bound)))
+        levels = min(depth, max(1, math.ceil(need)))
+        mids = _subtree_midpoints(a_lo, a_hi, levels)
+        a_d = None if d is None else d[act]
+        counts = _sturm_count(e2[act], mids.reshape(len(act), -1), a_d).reshape(mids.shape)
+        node = np.zeros(a_lo.shape, dtype=np.intp)
+        done = np.zeros(len(act), dtype=bool)
+        for level in range(levels):
+            pos = (node + (1 << level) - 1)[..., None]
+            mid = np.take_along_axis(mids, pos, -1)[..., 0]
+            below = np.take_along_axis(counts, pos, -1)[..., 0] >= targets
+            a_hi = np.where(below & ~done[:, None], mid, a_hi)
+            a_lo = np.where(below | done[:, None], a_lo, mid)
+            node = 2 * node + ~below
+            steps += 1
+            done |= np.all(a_hi - a_lo <= 1e-14 * a_bound, axis=1)
+            if steps == 128 or done.all():
+                break
+        lo[act], hi[act] = a_lo, a_hi
+        act = act[~done]
+        if steps == 128 and len(act):
+            raise ConvergenceError("bisection failed to localize the levels")
+    return 0.5 * (lo + hi) * scale
 
 
 def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
@@ -362,12 +378,12 @@ def _sturm_count(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None) -> np.nda
     """Eigenvalues of tridiag(d, e) below each shift: e2 (R, N-1), xs (R, S), d (R, N) or None.
 
     The negative-pivot count of the shifted LDL^T recurrence; zero and
-    infinite pivots propagate through IEEE arithmetic as long as no e2
-    entry is exactly zero.  The update is (d_i - e2/q) - x, or for a zero
-    diagonal (0 - x) - e2/q, which equals (0 - e2/q) - x bit for bit,
-    signed zeros included.  Pivots are kept for 32 sites and their signs
-    counted in one call.  A single chain's per-site operands are 0-d views,
-    which broadcast over the shifts at less cost per call than a column.
+    infinite pivots propagate through IEEE arithmetic while no e2 entry is
+    zero, as `_bisect_levels` ensures.  The update is (d_i - e2/q) - x, or
+    (0 - x) - e2/q for a zero diagonal, which equals (0 - e2/q) - x bit for
+    bit, signed zeros included.  Pivots are kept for 32 sites, their signs
+    counted in one call.  One chain's per-site operands are 0-d views, which
+    broadcast over the shifts at less cost per call than a column.
     """
 
     def per_site(a):
@@ -400,25 +416,6 @@ def _sturm_count(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None) -> np.nda
     return count
 
 
-def _sturm_count_clamped(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None) -> np.ndarray:
-    """`_sturm_count` for chains with an exactly zero squared coupling.
-
-    A pivot below pivmin = 1e-292*max(1, max e2) in magnitude becomes
-    -pivmin, so the recurrence (d_i - x) - e2/q never divides 0/0.
-    """
-    if d is None:
-        d = np.zeros((len(e2), e2.shape[1] + 1))
-    pivmin = 1e-292 * np.maximum(1.0, e2.max(axis=1, keepdims=True))
-    q = d[:, :1] - xs
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, d.shape[1]):
-        q = d[:, i, None] - xs - e2[:, i - 1, None] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
-    return count
-
-
 def midgap_vectors(offdiag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit sublattice vectors (a, b) of the midgap pair of open chains, one per row.
 
@@ -433,16 +430,20 @@ def midgap_vectors(offdiag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray,
     one shift-and-invert step near +s1, split by sublattice, gives both even
     when the pair is numerically degenerate.  The shift is floored at
     64*eps*bound (bound = Gershgorin), which bounds the inverse, so deep
-    chains need no log-space scaling.  A row is accepted once
-    ||H v - s1 v|| <= 1e-10*bound for v = (a, b)/sqrt(2); rows that miss
-    take another step from their iterate.  Each row's arithmetic is
+    chains need no log-space scaling.  Each row and its levels are first
+    divided by the row's `_row_scale`, so no square under- or overflows
+    and the vectors do not depend on the chain's scale.  A row is accepted
+    once ||H v - s1 v|| <= 1e-10*bound for v = (a, b)/sqrt(2); rows that
+    miss take another step from their iterate.  Each row's arithmetic is
     independent of the other rows.
     """
     e = np.atleast_2d(np.asarray(offdiag, dtype=float))
     rows, size = e.shape[0], e.shape[1] + 1
     if size < 4 or size % 2:
         raise ValueError("midgap vectors need chains with an even number (>= 4) of sites")
-    mags = np.sort(np.abs(levels), axis=1)
+    scale = _row_scale(e)
+    e = e / scale
+    mags = np.sort(np.abs(levels / scale), axis=1)
     s1 = mags[:, 0]
     bound = gershgorin_radii(e).max(axis=1)
     if np.any(mags[:, 2] - mags[:, 1] <= 1e-13 * np.maximum(bound, _EPS)):
@@ -474,10 +475,10 @@ def _shifted_solve(e, shift, pivmin, rhs):
     """(T - shift) x = rhs for zero-diagonal chains T, one per row, by unpivoted LDL^T.
 
     A pivot below pivmin = eps*bound in magnitude becomes -pivmin, a change
-    of T within its rounding error.  (The Sturm clamp at 1e-292 is too
-    small here: an exactly cancelled pivot then blows the iterate of a
-    2000-dimer chain with w/u = 2 up past 1e290.)  Sites run along the
-    first axis, so each step works on contiguous rows.
+    of T within its rounding error.  (A floor near underflow such as 1e-292
+    is too small: an exactly cancelled pivot then blows the iterate of a
+    2000-dimer chain with w/u = 2 up past 1e290.)  Sites run along the first
+    axis, so each step works on contiguous rows.
     """
     e, y = e.T.copy(), rhs.T.copy()
     q = np.empty_like(y)
@@ -576,29 +577,24 @@ def gap_resolution(m: ChainMatrix) -> float:
     return 8.0 * max(m.size, 8) * _EPS * m.norm_bound()
 
 
-def midgap_pair(
-    m: ChainMatrix, spectral: SpectralResult | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def midgap_pair(m: ChainMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenvectors of the +/- eigenvalue pair closest to zero.
 
     Open chains with an even number (>= 4) of sites only.  Returns
     (v_minus, v_plus) with v_+/- = (a, +/-b)/sqrt(2) site by site, where
-    (a, b) is the chain's `midgap_vectors` row, so v_plus belongs to +E_min.
-    Without `spectral` the four central levels are bisected.
+    (a, b) is the chain's `midgap_vectors` row for its `midgap_levels`, so
+    v_plus belongs to +E_min.
     """
     if not m.is_tridiagonal or m.size % 2 or m.size < 4:
         raise ValueError("midgap pair needs an open chain with an even number (>= 4) of sites")
-    levels = midgap_levels(m.offdiag) if spectral is None else spectral.eigenvalues[None, :]
-    a, b = midgap_vectors(m.offdiag, levels)
+    a, b = midgap_vectors(m.offdiag, midgap_levels(m.offdiag))
     v_plus = np.column_stack((a[0], b[0])).ravel() / math.sqrt(2.0)
     return v_plus * np.tile([1.0, -1.0], m.size // 2), v_plus
 
 
-def eigenvector_near_zero(
-    m: ChainMatrix, which: str, spectral: SpectralResult | None = None
-) -> np.ndarray:
+def eigenvector_near_zero(m: ChainMatrix, which: str) -> np.ndarray:
     """Unit eigenvector of the eigenvalue +E_min ("plus") or -E_min ("minus")."""
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
-    v_minus, v_plus = midgap_pair(m, spectral)
+    v_minus, v_plus = midgap_pair(m)
     return v_plus if which == "plus" else v_minus

@@ -222,13 +222,11 @@ def sturm_count(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     Standard negative-pivot count of the shifted LDL^T recurrence,
     vectorized over the shifts.  Zero and infinite pivots propagate
     correctly through IEEE arithmetic as long as no e2 entry is exactly
-    zero; matrices with a vanishing coupling fall back to a clamped
-    recurrence that never divides 0/0.
+    zero, which `eigvals_sturm` ensures by flooring e2 at the smallest
+    subnormal.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n = len(d)
-    if len(e2) and float(e2.min()) == 0.0:
-        return _sturm_count_clamped(d, e2, xs)
     q = d[0] - xs
     count = (q < 0.0).astype(np.int64)
     tmp = np.empty_like(q)
@@ -243,31 +241,22 @@ def sturm_count(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return count
 
 
-def _sturm_count_clamped(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    pivmin = 1e-292 * max(1.0, float(e2.max()))
-    q = d[0] - xs
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, len(d)):
-        q = d[i] - xs - e2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
-    return count
-
-
 def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix by bisection.
 
     Every eigenvalue is bisected independently (vectorized across the
     spectrum) down to ~1e-14 of the Gershgorin bound, which makes the
-    result deterministic and naturally sorted.
+    result deterministic and naturally sorted.  A zero square is floored
+    at the smallest subnormal, as in `spectrum._bisect_levels`; the rows
+    are not scaled, so the two agree bit for bit unless a square
+    overflows or is subnormal.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     n = len(d)
     if n == 1:
         return d.copy()
-    e2 = e * e
+    e2 = np.maximum(e * e, np.nextafter(0.0, 1.0))
     radius = np.zeros(n)
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)

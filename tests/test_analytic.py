@@ -266,6 +266,10 @@ class TestCriticalSurfaces:
             # exact defining property
             assert critical_w(1.0, g0) == pytest.approx(w, rel=1e-9)
 
+    def test_bisection_root_at_the_bracket_end(self):
+        # shift(0.31) is exactly 0.0 at w = critical_w(1, 0.31)
+        assert critical_gamma(1.0, critical_w(1.0, 0.31), bracket=(0.0, 0.31)) == 0.31
+
     def test_bisection_no_crossing(self):
         with pytest.raises(ValueError, match="no boundary crossing"):
             critical_gamma(1.0, 0.95, bracket=(0.0, 0.05))

@@ -127,6 +127,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="strictly increasing"):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["u", "w", "alpha", "gamma_grid", "w_grid"])
+    def test_non_finite_values_rejected(self, key, value):
+        fields = {"gamma_grid": (0.1, 0.4), "w_grid": (0.9,)}
+        fields[key] = (0.2, value) if key.endswith("_grid") else value
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            RunConfig(experiment="phase-diagram", **fields).validate()
+
     def test_selftest_is_not_an_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             default_config("selftest")
@@ -567,6 +575,16 @@ class TestMainEntry:
         code = main(argv + small + ["--out", str(tmp_path / "z.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mean-nu", "--gamma-grid", "nan"], ["mean-nu", "--w", "nan"], ["gap-scan", "--u", "inf"]],
+    )
+    def test_non_finite_values_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--realizations", "4", "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_edge_modes_rejects_rings(self, tmp_path, capsys):
         code = main(["edge-modes", "--bc", "periodic", "--out", str(tmp_path / "e.csv")])

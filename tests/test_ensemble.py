@@ -27,7 +27,7 @@ from sshlab.model import (
     build_chain,
     coherence_length,
 )
-from sshlab.spectrum import eigenvalues_dense, eigenvalues_tridiagonal, midgap_pair
+from sshlab.spectrum import midgap_pair
 
 # three full index blocks plus a remainder
 R_BLOCKS = 3 * ensemble._INDEX_BLOCK + 7
@@ -335,7 +335,7 @@ class TestWavefunctionProfile:
         profiles = []
         for i in range(r):
             m = build_chain(params, sample_realization(dist, params.n, 8, i))
-            v_minus, v_plus = midgap_pair(m, eigenvalues_tridiagonal(m))
+            v_minus, v_plus = midgap_pair(m)
             per_site = v_minus**2 + v_plus**2
             per_dimer = per_site[0::2] + per_site[1::2]
             profiles.append(per_dimer * (2.0 / per_dimer.sum()))

@@ -182,7 +182,7 @@ class TestMidgapLevels:
         got = midgap_levels(m.offdiag)[0]
         np.testing.assert_array_equal(got, oracle_eigvals(np.zeros(4), m.offdiag))
 
-    def test_zero_coupling_takes_clamped_route(self):
+    def test_zero_and_underflowing_squares(self):
         rng = np.random.default_rng(23)
         e = rng.uniform(0.3, 1.7, (3, 19))
         e[1, 8] = 0.0  # row 1 splits into two decoupled chains
@@ -193,9 +193,9 @@ class TestMidgapLevels:
         assert got[1, 1] == pytest.approx(-got[1, 2], abs=1e-13)
 
     def test_subnormal_chains_alone_and_in_a_block(self):
-        # couplings near 1e-309 square to zero and leave tol = 1e-14*bound a
-        # few subnormal ulps, so some intervals reach it a step before those
-        # of the normal-scale chain in their block, which bisects on
+        # couplings near 1e-309 would square to zero unscaled; the kernel
+        # bisects them, alone or beside a normal-scale chain with a zero
+        # bond, to the bits the oracle gives the row scaled into normal range
         rng = np.random.default_rng(27)
         normal = rng.uniform(0.3, 1.7, 11)
         normal[4] = 0.0
@@ -203,7 +203,8 @@ class TestMidgapLevels:
         block = midgap_levels(np.vstack((normal, tiny)))
         for row, levels in zip(tiny, block[1:]):
             assert levels.tobytes() == midgap_levels(row)[0].tobytes()
-            assert levels.tobytes() == central_entries(row).tobytes()
+            normal_range = np.ldexp(central_entries(np.ldexp(row, 1050)), -1050)
+            assert levels.tobytes() == normal_range.tobytes()
 
     def test_deep_topological_chain_underflowing_gap(self):
         # w/u = 2 over 2000 dimers: E_min ~ 2**-2000 underflows to zero
@@ -240,14 +241,6 @@ class TestMidgapLevels:
             ref = scipy_linalg.eigvalsh_tridiagonal(np.zeros(200), row)[98:102]
             bound = float(np.max(np.abs(row[:-1]) + np.abs(row[1:])))
             np.testing.assert_allclose(levels, ref, rtol=0.0, atol=1e-12 * bound)
-
-    def test_midgap_pair_without_spectrum_matches_full_one(self):
-        rng = np.random.default_rng(25)
-        _, m = random_chain(rng, n=25)
-        a = midgap_pair(m)
-        b = midgap_pair(m, eigenvalues_tridiagonal(m))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
 
     def test_rejects_chains_below_four_sites(self):
         with pytest.raises(ValueError):
@@ -373,17 +366,11 @@ class TestRingGap:
             for _ in range(3):
                 assert_gap_matches_eigvalsh(ring(rng.uniform(1.0 - half, 1.0 + half, 300), 0.8))
 
-    def test_zero_coupling_takes_clamped_route(self, monkeypatch):
+    def test_zero_coupling_splits_the_ring(self):
         # two vanishing intra-dimer bonds cut the ring into two open chains,
         # and the bidiagonal form carries an exact zero
-        calls = []
-        clamped = spectrum._sturm_count_clamped
-        monkeypatch.setattr(
-            spectrum, "_sturm_count_clamped", lambda *args: calls.append(1) or clamped(*args)
-        )
         m = ring(np.array([0.0, 1.0, 1.0, 1.0, 0.0, 1.0]), 0.9)
         assert_gap_matches_eigvalsh(m)
-        assert calls
 
     def test_deep_ring_stays_finite(self):
         # w/u = 2 over 2000 dimers: |w/u|^n is far past 1e308
@@ -525,23 +512,23 @@ class TestGolubKahanChains:
 class TestCentralPairGap:
     """`chain_gaps` bisects levels N/2-1 and N/2, and gets 2*min|E| of the four central ones."""
 
-    # a pivot cancelling to +0.0 at x and -x alike parts the two bisections:
-    # the IEEE count leaves level N/2-1 the nearer to zero, the clamped one N/2
+    # a pivot cancelling to +0.0 at x and -x alike parts the two bisections
+    # and leaves level N/2-1 the nearer to zero, with or without a zero bond
     MIRROR_BROKEN = (
         ("-0x1.0ee60f52532f0p+0", "-0x1.3097198abcbe8p-2", "-0x1.85a600d670ebcp-1"),
-        ("0x1.9995cfcabec3ap+0", "0x0.0p+0", "0x1.17df20a4dab18p-2"),
+        ("0x1.8ce80ff98d30cp+0", "0x0.0p+0", "-0x1.44eb0aa384feep+0"),
     )
 
     def test_mirror_broken_chains(self):
-        for row, nearer in zip(self.MIRROR_BROKEN, (1, 2)):
+        for row in self.MIRROR_BROKEN:
             e = np.array([[float.fromhex(x) for x in row]])
             levels = np.abs(midgap_levels(e)[0])
-            assert levels[nearer] < levels[3 - nearer]
-            assert chain_gaps(e)[0] == 2.0 * levels[nearer]
+            assert levels[1] < levels[2]
+            assert chain_gaps(e)[0] == 2.0 * levels[1]
 
     def test_bit_identical_to_four_central_levels(self):
         # signed bonds, then exact-zero, 1e-170 (squares underflow to the
-        # clamped route) and 2^+-600 bonds (squares under- and overflow)
+        # floor) and 2^+-600 bonds (squares would under- and overflow unscaled)
         rng = np.random.default_rng(58)
         checked = 0
         with np.errstate(all="ignore"):
@@ -565,6 +552,43 @@ class TestCentralPairGap:
                         assert chain_gap(ChainMatrix(offdiag=e[k], corner=c)) == gaps[k]
                     checked += len(e)
         assert checked >= 1000
+
+
+class TestExtremeScales:
+    """Rows times 2^k give 2^k times the unscaled bits, past where squares under- or overflow."""
+
+    POWERS = (-1000, -600, -520, 520, 600, 1000)
+
+    def test_open_chain_and_ring_gaps(self):
+        rng = np.random.default_rng(60)
+        e = rng.uniform(0.3, 1.7, (6, 39))
+        corners = rng.uniform(0.3, 1.7, len(e))
+        for corner in (None, corners):
+            gaps = chain_gaps(e, corner)
+            for k in self.POWERS:
+                c = None if corner is None else np.ldexp(corner, k)
+                assert chain_gaps(np.ldexp(e, k), c).tobytes() == np.ldexp(gaps, k).tobytes()
+
+    def test_midgap_levels_and_vectors(self):
+        rng = np.random.default_rng(61)
+        e = rng.uniform(0.3, 1.7, (6, 39))
+        e[:, 1::2] = 0.8
+        levels = midgap_levels(e)
+        a, b = midgap_vectors(e, levels)
+        for k in self.POWERS:
+            scaled = midgap_levels(np.ldexp(e, k))
+            assert scaled.tobytes() == np.ldexp(levels, k).tobytes()
+            a_k, b_k = midgap_vectors(np.ldexp(e, k), scaled)
+            assert a_k.tobytes() == a.tobytes() and b_k.tobytes() == b.tobytes()
+
+    def test_general_diagonal(self):
+        rng = np.random.default_rng(62)
+        d = rng.standard_normal(30)
+        e = rng.uniform(-2.0, 2.0, 29)
+        ev = eigvals_sturm(d, e)
+        for k in self.POWERS:
+            got = eigvals_sturm(np.ldexp(d, k), np.ldexp(e, k))
+            assert got.tobytes() == np.ldexp(ev, k).tobytes()
 
 
 def mixed_gamma_block(bc, n=12, per=3):
@@ -671,7 +695,7 @@ class TestEigenvectors:
         for _ in range(10):
             params, m = random_chain(rng, n=int(rng.integers(4, 40)))
             spectral = eigenvalues_tridiagonal(m)
-            v_minus, v_plus = midgap_pair(m, spectral)
+            v_minus, v_plus = midgap_pair(m)
             lam = 0.5 * spectral.gap
             norm = m.norm_bound()
             for v, sign in ((v_plus, 1.0), (v_minus, -1.0)):
@@ -697,8 +721,7 @@ class TestEigenvectors:
         u, w, n = 0.8, 1.0, 60
         params = ChainParams(n=n, u=u, w=w)
         m = build_chain(params, Realization(couplings=np.full(n, u)))
-        spectral = eigenvalues_tridiagonal(m)
-        v_minus, v_plus = midgap_pair(m, spectral)
+        v_minus, v_plus = midgap_pair(m)
         # the symmetric/antisymmetric combinations isolate the left edge mode
         left = (v_plus + v_minus) / math.sqrt(2.0)
         if abs(left[0]) < abs(left[-1]):
