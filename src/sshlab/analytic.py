@@ -227,9 +227,9 @@ def critical_gamma_weak(u: float, w: float) -> float:
 def critical_gamma(u: float, w: float, bracket: tuple[float, float] | None = None) -> float:
     """Numerically invert the boundary condition mean_nu = 1/2 for gamma.
 
-    Generic bisection utility on log|u/w| + z1(gamma); scans the bracket,
-    both ends included, for the first zero or sign change and bisects it.
-    Raises when the bracket contains no crossing.
+    Bisection on log|u/w| + z1(gamma): scans the bracket for the first zero
+    (an end within 4*eps*max(1, |log|u/w||) counts) or sign change and
+    bisects it.  Raises when the bracket contains no crossing.
     """
     if u == 0.0 or w == 0.0:
         raise ValueError("u and w must be nonzero")
@@ -244,6 +244,8 @@ def critical_gamma(u: float, w: float, bracket: tuple[float, float] | None = Non
 
     grid = [lo + (hi - lo) * j / 256 for j in range(256)] + [hi]
     vals = [shift(g) for g in grid]
+    tol = 4.0 * math.ulp(1.0) * max(1.0, abs(math.log(au / abs(w))))
+    vals[0], vals[-1] = (0.0 if abs(f) <= tol else f for f in (vals[0], vals[-1]))
     for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
         if fa == 0.0 or fb == 0.0:
             return a if fa == 0.0 else b

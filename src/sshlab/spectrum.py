@@ -4,10 +4,11 @@ Self-contained kernels, no external linear-algebra backends.  One batched
 Sturm-bisection kernel, `_bisect_levels`, gives any levels of a stack of
 symmetric tridiagonal chains: all of one chain (`eigvals_sturm`), the
 four central ones of open chains (`midgap_levels`) or the two a gap needs
-(`chain_gaps`), with one IEEE Sturm counter on rows scaled by a power of
-two (`_row_scale`, shared by every kernel on coupling rows).  A batched
-shift-and-invert kernel gives the open-chain midgap pair, and Householder
-reduction takes dense symmetric matrices to tridiagonal form.
+(`chain_gaps`), each in 48 halvings, with one IEEE Sturm counter on rows
+scaled by a power of two (`_row_scale`, shared by every kernel on coupling
+rows); non-finite couplings raise ValueError.  A batched shift-and-invert
+kernel gives the open-chain midgap pair, and Householder reduction takes
+dense symmetric matrices to tridiagonal form.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  Rings
@@ -51,6 +52,7 @@ _EPS = np.finfo(float).eps
 # rings per `_golub_kahan_chains` call in `chain_gaps`; rows are independent,
 # so the chunk bounds the buffers without changing any result
 _RING_CHUNK = 8
+_HALVINGS = 48  # bisection steps per level; see `_bisect_levels`
 
 
 class ConvergenceError(RuntimeError):
@@ -84,6 +86,12 @@ def _row_scale(*parts: np.ndarray) -> np.ndarray:
     """
     big = np.max([np.abs(p).max(axis=1) for p in parts], axis=0)
     return np.ldexp(1.0, np.frexp(big)[1])[:, None]
+
+
+def _finite(name: str, *arrays) -> None:
+    """Raise ValueError("<name> must be finite") if any of `arrays` holds a NaN or infinity."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{name} must be finite")
 
 
 def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,24 +281,24 @@ def _golub_kahan_step(buf: np.ndarray, h: int, work) -> tuple[np.ndarray, np.nda
 
 def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues of tridiag(d, e), sorted: one `_bisect_levels` row, every level."""
-    d = np.asarray(d, dtype=float)
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    _finite("d and e", d, e)
     if len(d) == 1:
         return d.copy()
-    return _bisect_levels(np.asarray(e, dtype=float)[None, :], np.arange(len(d)), d[None, :])[0]
+    return _bisect_levels(e[None, :], np.arange(len(d)), d[None, :])[0]
 
 
 def midgap_levels(offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues N/2-2 .. N/2+1 of zero-diagonal open chains, one per row.
 
-    `offdiag` holds the N-1 couplings of each chain (N >= 4).  The four
-    levels come from `_bisect_levels`, so each value is bit-identical to the
-    same entry of `eigvals_sturm` on that chain: every interval is
-    2*bound/2**k after k steps up to rounding far below the tolerance, so
-    all of them reach it at the same step (k = 48).
+    `offdiag` holds the N-1 couplings of each chain (N >= 4).  Every level
+    takes the same 48 halvings in `_bisect_levels`, so each value is
+    bit-identical to the same entry of `eigvals_sturm` on that chain.
     """
     e = np.atleast_2d(np.asarray(offdiag, dtype=float))
     if e.shape[1] < 3:
         raise ValueError("chains need at least 4 sites")
+    _finite("couplings", e)
     half = (e.shape[1] + 1) // 2
     return _bisect_levels(e, np.arange(half - 2, half + 2))
 
@@ -305,14 +313,16 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
     subnormal, which moves a level by about 1e-162 of the scaled bound at
     most; with no zero square the IEEE negative-pivot count of
     `_sturm_count` is exact (Demmel, Dhillon & Ren, ETNA 3, 1995), so every
-    row takes that one counter.  Every level bisects the Gershgorin
-    interval [-bound, bound], bound = max_i |d_i| + |e_{i-1}| + |e_i|, at
-    0.5*(lo + hi) until all of its row's intervals are within 1e-14*bound,
-    and is then its interval's midpoint.  One Sturm pass counts every
-    midpoint of a bisection subtree, then the path is walked level by level,
-    so the passes over the sites drop by the subtree depth, which keeps a
-    pass near 1000 shifts (up to 6 for few rows x targets).  Each row's
-    arithmetic is independent of the other rows and of the depth.
+    row takes that one counter.  Every level halves the Gershgorin interval
+    [-bound, bound], bound = max_i |d_i| + |e_{i-1}| + |e_i|, at
+    0.5*(lo + hi) 48 times, then is its interval's midpoint: a scaled row's
+    bound is 0 (levels 0.5*(-0.0 + 0.0) = +0.0) or in [1/2, 3), where the
+    intervals, 2*bound*2^-k up to rounding under 2^-51*bound, first fall
+    under 1e-14*bound at k = 48 for every level.  One Sturm pass counts
+    every midpoint of a bisection subtree, then the path is walked level by
+    level, so the passes over the sites drop by the subtree depth, which
+    keeps a pass near 1000 shifts (up to 6 for few rows x targets).  Each
+    row's arithmetic is independent of the other rows and of the depth.
     """
     scale = _row_scale(e) if d is None else _row_scale(e, d)
     e = e / scale
@@ -321,39 +331,24 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
         d = d / scale
         radius = np.abs(d) + radius
     targets = np.asarray(which) + 1
-    bound = radius.max(axis=1, keepdims=True)
-    hi = np.repeat(bound, len(targets), axis=1)
+    if not len(e):  # the subtree reshapes cannot size an empty block
+        return np.empty((0, len(targets)))
+    hi = np.repeat(radius.max(axis=1, keepdims=True), len(targets), axis=1)
     lo = -hi
     e2 = np.maximum(e * e, np.nextafter(0.0, 1.0))
-    # a zero bound leaves every level at 0.5*(-0.0 + 0.0) = 0.0
-    act = np.flatnonzero(bound[:, 0] > 0.0)
-    depth = max(1, min(6, round(math.log2(1024 / max(1, len(act) * len(targets)) + 1))))
-    steps = 0
-    while len(act):
-        a_lo, a_hi, a_bound = lo[act], hi[act], bound[act]
-        # levels left if intervals halve cleanly
-        need = math.log2(1e14 * float(np.max((a_hi - a_lo) / a_bound)))
-        levels = min(depth, max(1, math.ceil(need)))
-        mids = _subtree_midpoints(a_lo, a_hi, levels)
-        a_d = None if d is None else d[act]
-        counts = _sturm_count(e2[act], mids.reshape(len(act), -1), a_d).reshape(mids.shape)
-        node = np.zeros(a_lo.shape, dtype=np.intp)
-        done = np.zeros(len(act), dtype=bool)
+    depth = max(1, min(6, round(math.log2(1024 / max(1, len(e) * len(targets)) + 1))))
+    for start in range(0, _HALVINGS, depth):
+        levels = min(depth, _HALVINGS - start)
+        mids = _subtree_midpoints(lo, hi, levels)
+        counts = _sturm_count(e2, mids.reshape(len(e), -1), d).reshape(mids.shape)
+        node = np.zeros(lo.shape, dtype=np.intp)
         for level in range(levels):
             pos = (node + (1 << level) - 1)[..., None]
             mid = np.take_along_axis(mids, pos, -1)[..., 0]
             below = np.take_along_axis(counts, pos, -1)[..., 0] >= targets
-            a_hi = np.where(below & ~done[:, None], mid, a_hi)
-            a_lo = np.where(below | done[:, None], a_lo, mid)
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
             node = 2 * node + ~below
-            steps += 1
-            done |= np.all(a_hi - a_lo <= 1e-14 * a_bound, axis=1)
-            if steps == 128 or done.all():
-                break
-        lo[act], hi[act] = a_lo, a_hi
-        act = act[~done]
-        if steps == 128 and len(act):
-            raise ConvergenceError("bisection failed to localize the levels")
     return 0.5 * (lo + hi) * scale
 
 
@@ -441,6 +436,7 @@ def midgap_vectors(offdiag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray,
     rows, size = e.shape[0], e.shape[1] + 1
     if size < 4 or size % 2:
         raise ValueError("midgap vectors need chains with an even number (>= 4) of sites")
+    _finite("couplings and levels", e, levels)
     scale = _row_scale(e)
     e = e / scale
     mags = np.sort(np.abs(levels / scale), axis=1)
@@ -553,6 +549,7 @@ def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
     size = couplings.shape[1] + 1
     if size < 4:
         raise ValueError("chains need at least 4 sites")
+    _finite("couplings", couplings, 0.0 if corner is None else corner)
     if corner is not None:
         if size % 2:
             raise ValueError("odd rings have no Golub-Kahan chain; take chain_gap of each")
@@ -570,9 +567,9 @@ def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
 def gap_resolution(m: ChainMatrix) -> float:
     """The smallest gap `chain_gap` resolves: 8*max(N, 8)*eps*||H||.
 
-    ||H|| is taken as the Gershgorin bound.  Bisection stops at 1e-14 of
-    that bound, about 64*eps*||H||, which no size goes below; a gap at or
-    under this resolution cannot be told from zero.
+    ||H|| is taken as the Gershgorin bound.  Bisection's 48 halvings leave
+    intervals of 7.1e-15 of that bound, 32*eps*||H||, which no size goes
+    below; a gap at or under this resolution cannot be told from zero.
     """
     return 8.0 * max(m.size, 8) * _EPS * m.norm_bound()
 

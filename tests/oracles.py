@@ -56,23 +56,6 @@ def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100) -> np.ndarray:
     return np.sort(np.diag(a))
 
 
-def permanent_free_determinant(a: np.ndarray) -> complex:
-    """Determinant by Laplace cofactor expansion; exponential, n <= 8 only."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n > 8:
-        raise ValueError("cofactor oracle limited to n <= 8")
-    if n == 1:
-        return complex(a[0, 0])
-    total = 0.0 + 0.0j
-    for j in range(n):
-        if a[0, j] == 0.0:
-            continue
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * a[0, j] * permanent_free_determinant(minor)
-    return total
-
-
 def flux_dense(h: FluxMatrix) -> np.ndarray:
     """The n x n complex matrix h(phi), assembled entry by entry."""
     n = h.n

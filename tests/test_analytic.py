@@ -269,6 +269,14 @@ class TestCriticalSurfaces:
     def test_bisection_root_at_the_bracket_end(self):
         # shift(0.31) is exactly 0.0 at w = critical_w(1, 0.31)
         assert critical_gamma(1.0, critical_w(1.0, 0.31), bracket=(0.0, 0.31)) == 0.31
+        # elsewhere shift(g) can round to either side of zero; brackets ending
+        # at g find g (or an earlier root) all the same
+        for j in range(1, 400):
+            g = 0.005 * j
+            w = critical_w(1.0, g)
+            below = critical_gamma(1.0, w, bracket=(0.0, g))
+            assert critical_w(1.0, below) == pytest.approx(w, rel=1e-12)
+            assert critical_gamma(1.0, w, bracket=(g, g + 0.001)) == g
 
     def test_bisection_no_crossing(self):
         with pytest.raises(ValueError, match="no boundary crossing"):

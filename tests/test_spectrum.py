@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import eigvals_ql, householder_bidiagonalize, jacobi_eigenvalues
 from oracles import eigvals_sturm as oracle_eigvals
@@ -62,8 +64,8 @@ def sublattice_block(m):
 def assert_gap_matches_eigvalsh(m):
     """chain_gap against numpy's dense eigvalsh, within 8*N*eps*||H||.
 
-    N is taken as at least 8: bisection stops at 1e-14 of the Gershgorin
-    bound, a resolution of about 64*eps*||H|| that no size goes below.
+    N is taken as at least 8: bisection's 48 halvings leave intervals of
+    7.1e-15 of the Gershgorin bound, 32*eps*||H||, which no size goes below.
     """
     ev = np.linalg.eigvalsh(m.to_dense())
     tol = 8.0 * max(m.size, 8) * EPS * float(np.max(np.abs(ev)))
@@ -552,6 +554,108 @@ class TestCentralPairGap:
                         assert chain_gap(ChainMatrix(offdiag=e[k], corner=c)) == gaps[k]
                     checked += len(e)
         assert checked >= 1000
+
+
+def nonzero_or_zero(floats):
+    """`floats` with magnitudes under 1e-100 drawn as 0.0, so no scaled square is subnormal."""
+    return floats.map(lambda x: 0.0 if 0.0 < abs(x) < 1e-100 else x)
+
+
+DIAGONALS = st.sampled_from([0.0, -0.0, 0.5, -1.0]) | nonzero_or_zero(st.floats(-2.0, 2.0))
+BONDS = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.7]) | nonzero_or_zero(
+    st.floats(-1.8, 1.8, exclude_min=True, exclude_max=True)
+)
+
+
+@st.composite
+def tridiagonal_chains(draw):
+    """(d, e) of one chain of 2 to 12 sites."""
+    n = draw(st.integers(2, 12))
+    return draw(st.lists(DIAGONALS, min_size=n, max_size=n)), draw(
+        st.lists(BONDS, min_size=n - 1, max_size=n - 1)
+    )
+
+
+@st.composite
+def open_chain_blocks(draw):
+    """Bonds of 1 to 5 zero-diagonal chains of 4 to 14 sites, one chain per row."""
+    rows, bonds = draw(st.integers(1, 5)), draw(st.integers(3, 13))
+    row = st.lists(BONDS, min_size=bonds, max_size=bonds)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+def unit_scaled(*parts):
+    """`parts` divided by the power of two that puts their largest |entry| in [1/2, 1).
+
+    The kernel scales each row so and the oracle does not; on rows already
+    so scaled the two bisect the same numbers.
+    """
+    big = max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
+    return [np.ldexp(np.asarray(p, dtype=float), -math.frexp(big)[1]) for p in parts]
+
+
+class TestLevelProperties:
+    """The batched, scaled kernel gives the plain one-chain oracle's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tridiagonal_chains())
+    def test_eigvals_sturm_matches_oracle(self, chain):
+        d, e = unit_scaled(*chain)
+        with np.errstate(over="ignore"):  # a pivot near zero overflows its quotient to inf
+            assert eigvals_sturm(d, e).tobytes() == oracle_eigvals(d, e).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(open_chain_blocks())
+    def test_central_levels_and_gaps_of_a_block_match_oracle(self, rows):
+        e = np.array([unit_scaled(row)[0] for row in rows])
+        with np.errstate(over="ignore"):
+            expected = np.array([central_entries(row) for row in e])
+            assert midgap_levels(e).tobytes() == expected.tobytes()
+            assert chain_gaps(e).tobytes() == (2.0 * np.min(np.abs(expected), axis=1)).tobytes()
+
+    def test_all_zero_row_in_a_block(self):
+        rng = np.random.default_rng(63)
+        e = rng.uniform(0.3, 1.7, (3, 11))
+        e[1] = 0.0
+        corners = np.array([0.9, 0.0, -1.1])  # the zero row is a ring too
+        for call in (lambda x, c: midgap_levels(x), lambda x, c: chain_gaps(x), chain_gaps):
+            block = call(e, corners)
+            assert block[1].tobytes() == np.zeros_like(block[1]).tobytes()  # +0.0, not -0.0
+            for k in (0, 2):
+                assert block[k].tobytes() == call(e[k : k + 1], corners[k : k + 1])[0].tobytes()
+
+
+class TestNonFiniteCouplings:
+    """NaN and +/-inf raise at every entry, before any arithmetic can warn."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejected_alone_and_in_a_block(self, bad):
+        good = np.random.default_rng(64).uniform(0.3, 1.7, (1, 11))
+        bad_row = good.copy()
+        bad_row[0, 5] = bad
+        levels = midgap_levels(good)
+        bad_levels = levels.copy()
+        bad_levels[0, 2] = bad
+        cases = [
+            (eigvals_sturm, np.r_[bad, np.zeros(11)], good[0]),
+            (eigvals_sturm, np.zeros(12), bad_row[0]),
+        ]
+        for rows in (slice(1, 2), slice(0, 2)):  # the bad row alone, then beside a finite one
+            e = np.vstack((good, bad_row))[rows]
+            ok = np.vstack((good, good))[rows]
+            corner = np.array([1.0, bad])[rows]
+            cases += [
+                (midgap_levels, e),
+                (chain_gaps, e),
+                (chain_gaps, e, 1.0),
+                (chain_gaps, ok, corner),
+                (midgap_vectors, e, np.vstack((levels, levels))[rows]),
+                (midgap_vectors, ok, np.vstack((levels, bad_levels))[rows]),
+            ]
+        for fn, *args in cases:
+            with pytest.raises(ValueError, match="must be finite"):
+                fn(*args)
 
 
 class TestExtremeScales:
