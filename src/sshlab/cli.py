@@ -2,8 +2,8 @@
 
 Each experiment writes a data file whose `#` header embeds the resolved
 scientific configuration as JSON, plus a `.meta.json` sidecar with run
-provenance (wall time, requested threads, the processes a pool may start
-for them and whether one started, version).  Scheduling knobs (threads,
+provenance (wall time, requested threads, the processes a sweep may use
+for them and whether any sweep forked, version).  Scheduling knobs (threads,
 output path) live only in the sidecar so reruns with a different thread
 count stay byte-identical in the data section.
 
@@ -176,24 +176,24 @@ def _data_bytes(cfg: RunConfig, columns: list[str], rows: list[list]) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
 
 
-# the BLAS/OpenMP thread caps in effect, which forked pool workers inherit
+# the BLAS/OpenMP thread caps in effect, which forked sweep processes inherit
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _write_outputs(cfg: RunConfig, columns, rows, wall_time: float, pool) -> Path:
+def _write_outputs(cfg: RunConfig, columns, rows, wall_time: float, sweeps: list[dict]) -> Path:
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(_data_bytes(cfg, columns, rows))
     sidecar = {
         "config": cfg.data_dict(),
         "out": str(out),
-        "pool_started": pool.executor is not None,
-        "sweeps": pool.sweeps,
+        "pool_started": any(s["pooled"] for s in sweeps),
+        "sweeps": sweeps,
         "thread_env": {name: os.environ.get(name) for name in _THREAD_ENV},
         "threads": cfg.threads,
         "version": f"sshlab {__version__}",
         "wall_time_s": wall_time,
-        "workers": pool.workers,
+        "workers": ensemble._workers(cfg.threads),
     }
     out.with_suffix(out.suffix + ".meta.json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
@@ -532,10 +532,9 @@ def run_experiment(cfg: RunConfig) -> Path:
     if not cfg.out:
         cfg = replace(cfg, out=f"{cfg.experiment}.{'csv' if cfg.format == 'csv' else 'json'}")
     start = time.perf_counter()
-    # one process pool serves every pooled estimator call of the run
-    with ensemble.worker_pool(cfg.threads) as pool:
+    with ensemble.sweep_log() as sweeps:
         columns, rows = _EXPERIMENTS[cfg.experiment][0](cfg)
-    return _write_outputs(cfg, columns, rows, time.perf_counter() - start, pool)
+    return _write_outputs(cfg, columns, rows, time.perf_counter() - start, sweeps)
 
 
 # ----------------------------------------------------------------------

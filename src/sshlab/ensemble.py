@@ -9,11 +9,13 @@ k % r of point k // r.  A block is a `range` of consecutive rows, sized by
 the sweep's shape only: a fixed row count for the index, eta and profile
 estimators, and for gaps a count read from the sweep's row and dimer
 counts, so that a small ring sweep is one kernel call.  Each estimator
-maps its blocks over worker processes (the kernels are CPU bound in Python
-loops); a worker samples its block's rows into one array and keeps it an
-array down to the batched kernels, so one kernel call serves rows of
-several points, and the reduction splits the results by point in index
-order.  A one-point estimate is a sweep of one point.  The index of a block comes from its row
+maps its blocks by fork-join (the kernels are CPU bound in Python loops):
+block i goes to process i % W, the caller maps share 0 while W - 1 forked
+children map the others and send them back through pipes.  A worker
+samples its block's rows into one array and keeps it an array down to the
+batched kernels, so one kernel call serves rows of several points, and the
+reduction splits the results by point in index order.  A one-point
+estimate is a sweep of one point.  The index of a block comes from its row
 sums acc_i = sum_j log|c_ij/u|.
 """
 
@@ -21,9 +23,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+import pickle
+import signal
+import sys
+import warnings
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -43,7 +48,7 @@ __all__ = [
     "sweep_mean_nu",
     "sweep_wavefunction_profile",
     "sweep_mean_gap",
-    "worker_pool",
+    "sweep_log",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -53,13 +58,13 @@ _PROFILE_BLOCK = 128
 # rows per block of the gap estimator (`_gap_block_rows`): up to
 # _GAP_BLOCK_DIMERS dimers share one block, and so the per-site numpy calls
 # of the ring reduction and of the bisection, and a block holds at most
-# _GAP_BLOCK_MAX rings, so a long sweep still spreads over the workers
+# _GAP_BLOCK_MAX rings, so a long sweep still spreads over the processes
 _GAP_BLOCK_DIMERS = 4000
 _GAP_BLOCK_MAX = 64
 # rows per block of the index and eta ensembles (about 10 us each at
 # n = 100): a sweep of one block runs in-process, and with blocks this
-# large two workers beat one at r = 1000 and r = 15000 (2 cores), while at
-# r = 300 a pool would cost more than it saves
+# large two processes beat one at r = 1000 and r = 15000 (2 cores), while
+# at r = 300 a fork would cost more than it saves
 _INDEX_BLOCK = 500
 # the process's one Philox, re-keyed per realization by writing the key
 # (master_seed, index) into the state of a fresh Philox (counter 0, empty
@@ -173,47 +178,33 @@ def sample_realization(
     return Realization(couplings=couplings, master_seed=master_seed, index=index)
 
 
-@dataclass
-class _RunPool:
-    """A process pool shared by the estimator calls of one run.
-
-    `workers` is the number of processes the pool may start (`_workers`).
-    `sweeps` logs each sweep mapped while the pool is open: its quantity,
-    block count and whether its blocks went to the pool.
-    """
-
-    workers: int
-    executor: ProcessPoolExecutor | None = None
-    sweeps: list[dict] = field(default_factory=list)
-
-
-_run_pools: list[_RunPool] = []
+_sweep_logs: list[list[dict]] = []
 
 
 def _workers(threads: int) -> int:
-    """Processes a pool for `threads` may start: the request (0 = all CPUs), at most the CPUs."""
+    """Processes a sweep for `threads` may use: the request (0 = all CPUs), at most the CPUs.
+
+    Always 1 off Linux, where sweeps do not fork.
+    """
+    if sys.platform != "linux":
+        return 1
     cpus = os.cpu_count() or 1
     return min(threads or cpus, cpus)
 
 
 @contextmanager
-def worker_pool(threads: int):
-    """Let the pooled estimator calls made inside share one process pool.
+def sweep_log():
+    """Log the sweeps mapped inside: per sweep its quantity, block count and whether it forked.
 
-    The pool starts at the first call that needs it; on exit it is shut
-    down and its workers joined.  Estimators called outside, or whose
-    `threads` resolve to another worker count, open a pool of their own per
-    call.  Yields the slot (`_RunPool`); its `executor` stays set once the
-    pool has started.
+    Yields the log, a list of one dict per sweep; a sweep goes to the
+    innermost open log only.
     """
-    slot = _RunPool(_workers(threads))
-    _run_pools.append(slot)
+    log: list[dict] = []
+    _sweep_logs.append(log)
     try:
-        yield slot
+        yield log
     finally:
-        _run_pools.remove(slot)
-        if slot.executor is not None:
-            slot.executor.shutdown(wait=True)
+        _sweep_logs.remove(log)
 
 
 def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: int) -> list:
@@ -222,11 +213,10 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     `points` holds (dist, master_seed) pairs.  Each block is a range of
     `block` consecutive rows (the last holds the remainder, and a block may
     cross from one point into the next), a size the worker count never
-    changes, and each block is farmed out whole, so every worker call sees
-    the same rows with any number of workers.  A sweep of one block, or one
+    changes, and each block is mapped whole, so every worker call sees the
+    same rows with any number of processes.  A sweep of one block, or one
     whose `threads` resolve to one worker (`_workers`), stays in-process;
-    the others go to the open `worker_pool` of their worker count, or to
-    one opened for the sweep.
+    the others fork one child per further worker (`_fork_map`).
     The worker returns a tuple of per-row arrays; so does this map, each
     reshaped to (point, index, ...).
     """
@@ -240,25 +230,108 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     worker = partial(worker, params, points, r)
     total = len(points) * r
     blocks = [range(start, min(start + block, total)) for start in range(0, total, block)]
-    workers = _workers(threads)
-    pooled = workers > 1 and len(blocks) > 1
-    slot = _run_pools[-1] if _run_pools else None
-    if slot is not None:
-        slot.sweeps.append({"quantity": quantity, "blocks": len(blocks), "pooled": pooled})
-    if not pooled:
-        results = [worker(b) for b in blocks]
-    else:
-        shared = slot is not None and slot.workers == workers
-        with nullcontext(slot) if shared else worker_pool(threads) as pool:
-            if pool.executor is None:
-                # a forked pool starts all its workers at its first task
-                pool.executor = ProcessPoolExecutor(max_workers=pool.workers)
-            chunksize = max(1, len(blocks) // (workers * 4))
-            results = list(pool.executor.map(worker, blocks, chunksize=chunksize))
+    workers = min(_workers(threads), len(blocks))
+    if _sweep_logs:
+        entry = {"quantity": quantity, "blocks": len(blocks), "pooled": workers > 1}
+        _sweep_logs[-1].append(entry)
+    results = _fork_map(worker, blocks, workers) if workers > 1 else [worker(b) for b in blocks]
     return [
         np.concatenate(rows).reshape(len(points), r, *rows[0].shape[1:])
         for rows in zip(*results)
     ]
+
+
+def _fork_map(worker, blocks: list, workers: int) -> list:
+    """[worker(b) for b in blocks], block i mapped by process i % workers.
+
+    The caller forks workers - 1 children (`_child_map`), maps share 0
+    itself, then reads each child's pipe to EOF and reaps it.  The
+    children's warnings are re-emitted in block order up to the earliest
+    failed block, whose exception is then raised; a child that sends
+    nothing raises `RuntimeError` with its exit status.  If the caller's own
+    share raises, its children are killed and reaped first.  Only the
+    forking thread lives on in a child, so the caller must not be sharing
+    the sweep's work with threads of its own.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe) per forked share
+    replies, statuses = [], []
+    try:
+        for share in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child_map(worker, blocks[share::workers], write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        mine = [worker(b) for b in blocks[::workers]]
+        for _, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                replies.append(pipe.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    shares = [(mine, [()] * len(mine), None)]
+    for reply, status in zip(replies, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(f"a sweep process exited with status {code} and sent no result")
+        shares.append(pickle.loads(reply))
+    failed = {
+        s + len(done) * workers: exc for s, (done, _, exc) in enumerate(shares) if exc is not None
+    }
+    stop = min(failed, default=len(blocks) - 1)
+    registry: dict = {}  # so a "default" filter shows a repeated child warning once per sweep
+    for i in range(stop + 1):
+        for message, category, filename, lineno in shares[i % workers][1][i // workers]:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+    if failed:
+        raise failed[stop]
+    return [shares[i % workers][0][i // workers] for i in range(len(blocks))]
+
+
+def _child_map(worker, blocks: list, write_fd: int):
+    """A forked share: map `blocks`, pickle the reply into write_fd and `os._exit`.
+
+    The reply is (results, warnings of each block tried, exception or
+    None): the worker's exception if it survives pickling, else a
+    `RuntimeError` of its repr.  Nothing is sent if the reply will not
+    pickle, or on an interrupt.
+    """
+    code = 1
+    try:
+        results, warned, error = [], [], None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for block in blocks:
+                start = len(caught)
+                try:
+                    results.append(worker(block))
+                except Exception as exc:
+                    error = exc
+                new = caught[start:]
+                warned.append([(str(w.message), w.category, w.filename, w.lineno) for w in new])
+                if error is not None:
+                    break
+        if error is not None:
+            try:
+                pickle.loads(pickle.dumps(error))
+            except Exception:
+                error = RuntimeError(repr(error))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((results, warned, error)))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _mean_stderr(x: np.ndarray):

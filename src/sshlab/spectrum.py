@@ -328,7 +328,7 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
     e = e / scale
     radius = gershgorin_radii(e)
     if d is not None:
-        d = d / scale
+        d = d / scale + 0.0  # -0.0 + 0.0 is +0.0: a signed zero would flip pivot signs
         radius = np.abs(d) + radius
     targets = np.asarray(which) + 1
     if not len(e):  # the subtree reshapes cannot size an empty block
@@ -393,7 +393,7 @@ def _sturm_count(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None) -> np.nda
     count = (q < 0.0).astype(np.int64)
     buf = np.empty((min(32, len(sites)),) + xs.shape)
     pivots = list(buf)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, len(sites), len(buf)):
             block = sites[start : start + len(buf)]
             if d is None:

@@ -14,25 +14,19 @@ settings.load_profile("derandomized")
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """A recording stand-in for ensemble's process pool on a 2-CPU host.
+    """A recording stand-in for ensemble's fork-join on a 2-CPU host.
 
-    No process starts: each executor maps in-process.  Yields the
-    max_workers of every executor built.
+    No process forks: each sweep that would fork maps its blocks
+    in-process.  Yields the process count of every such sweep.
     """
     from sshlab import ensemble
 
     made = []
 
-    class FakeExecutor:
-        def __init__(self, max_workers):
-            made.append(max_workers)
+    def fork_map(worker, blocks, workers):
+        made.append(workers)
+        return [worker(b) for b in blocks]
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-        def shutdown(self, wait=True):
-            pass
-
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(ensemble, "_fork_map", fork_map)
     monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
     return made

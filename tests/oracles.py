@@ -214,7 +214,7 @@ def sturm_count(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     count = (q < 0.0).astype(np.int64)
     tmp = np.empty_like(q)
     mask = np.empty(len(xs), dtype=bool)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for i in range(1, n):
             np.divide(e2[i - 1], q, out=tmp)
             np.subtract(d[i], tmp, out=tmp)
@@ -234,7 +234,7 @@ def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     are not scaled, so the two agree bit for bit unless a square
     overflows or is subnormal.
     """
-    d = np.asarray(d, dtype=float)
+    d = np.asarray(d, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0, as in the kernel
     e = np.asarray(e, dtype=float)
     n = len(d)
     if n == 1:

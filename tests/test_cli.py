@@ -195,10 +195,10 @@ class TestRunners:
 
         from sshlab import ensemble
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started")
+        def no_fork():
+            raise AssertionError("process forked")
 
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble.os, "fork", no_fork)
         cfg = tiny("edge-modes", tmp_path, n=10, realizations=4)
         run_experiment(replace(cfg, threads=2))
 
@@ -330,13 +330,13 @@ class TestRunners:
 
         from sshlab import ensemble
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started")
+        def no_fork():
+            raise AssertionError("process forked")
 
-        # 2 gamma x 40 rings in blocks of 40: pooled wherever two processes may start
+        # 2 gamma x 40 rings in blocks of 40: forked wherever two processes may run
         cfg = tiny("gap-scan", tmp_path, n=10, realizations=40)
         one = run_experiment(replace(cfg, threads=1, out=str(tmp_path / "gs1.csv")))
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble.os, "fork", no_fork)
         monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 1)
         for t in (0, 2, 4):
             path = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
@@ -350,13 +350,13 @@ class TestRunners:
 
         from sshlab import ensemble
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started")
+        def no_fork():
+            raise AssertionError("process forked")
 
         # perfbench's gap-scan: 2 gamma x 4 rings of 250 dimers, one ring block
         cfg = tiny("gap-scan", tmp_path, n=250, realizations=4, gamma_grid=(0.0, 0.8))
         one = run_experiment(replace(cfg, threads=1, out=str(tmp_path / "gs1.csv")))
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble.os, "fork", no_fork)
         two = run_experiment(replace(cfg, threads=2, out=str(tmp_path / "gs2.csv")))
         meta = json.loads(two.with_suffix(".csv.meta.json").read_text())
         assert meta["pool_started"] is False
@@ -524,6 +524,29 @@ class TestMainEntry:
         proc = run_python(["-c", script], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+    def test_cli_imports_no_process_pool(self, tmp_path):
+        pools = "{'concurrent.futures', 'multiprocessing'}"
+        script = f"import sys, sshlab.cli; print(sorted({pools} & set(sys.modules)))"
+        proc = run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_forked_sweep_error_matches_in_process(self, tmp_path, capsys, monkeypatch):
+        from sshlab import ensemble
+
+        # 200 rings of 6 dimers: four ring blocks, every one of them non-finite
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        argv = ["gap-scan", "--n", "6", "--realizations", "200", "--gamma-grid", "1e308"]
+        errors = []
+        for t in (1, 2):
+            out = tmp_path / f"gs{t}.csv"
+            assert main([*argv, "--threads", str(t), "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert errors[0] == errors[1] == "error: couplings must be finite\n"
 
     def test_cli_overrides_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -27,7 +29,7 @@ from sshlab.model import (
     build_chain,
     coherence_length,
 )
-from sshlab.spectrum import midgap_pair
+from sshlab.spectrum import midgap_levels, midgap_pair, midgap_vectors
 
 # three full index blocks plus a remainder
 R_BLOCKS = 3 * ensemble._INDEX_BLOCK + 7
@@ -343,25 +345,48 @@ class TestWavefunctionProfile:
         np.testing.assert_array_equal(np.asarray(est.value), np.array(profiles).mean(axis=0))
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def map_rows(worker, threads, r=8, block=2):
+    """`_map_sweep` of worker over r rows of one point, in blocks of `block` rows."""
+    point = [(FlatDistribution(0.1, 1.0), 1)]
+    params = ChainParams(n=2, u=1.0, w=0.9)
+    return ensemble._map_sweep("rows", worker, params, point, r, block, threads)
+
+
+def caught_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(*args)
+    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
 class TestWorkerPool:
-    def test_estimators_share_one_pool(self):
+    """Fork-join sweeps: block i goes to process i % W, the caller maps share 0."""
+
+    def test_estimators_share_one_pool(self, monkeypatch):
+        # one sweep log serves a run; each pooled sweep forks and reaps its own children
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
         params = ChainParams(n=10, u=1.0, w=0.9)
         dist = FlatDistribution(gamma=0.4, u=1.0)
         r = ensemble._INDEX_BLOCK + 1  # two blocks: the smallest pooled ensemble
-        alone = estimate_mean_nu(params, dist, r, 5, threads=2).value
-        with ensemble.worker_pool(2):
+        alone = estimate_mean_nu(params, dist, r, 5, threads=1).value
+        with ensemble.sweep_log() as log:
             shared = estimate_mean_nu(params, dist, r, 5, threads=2).value
-            executor = ensemble._run_pools[-1].executor
-            assert executor is not None
+            assert_no_children()
             estimate_mean_gap(params, dist, 8, 5, threads=2)
-            assert ensemble._run_pools[-1].executor is executor
-            # another worker count opens its own pool and leaves this one alone
-            assert estimate_mean_nu(params, dist, r, 5, threads=1).value == alone
+            with ensemble.sweep_log() as inner:
+                assert estimate_mean_nu(params, dist, r, 5, threads=1).value == alone
         assert shared == alone
-        assert not ensemble._run_pools
-        assert executor._processes is None or not any(
-            p.is_alive() for p in executor._processes.values()
-        )
+        assert log == [
+            {"quantity": "mean_nu", "blocks": 2, "pooled": True},
+            {"quantity": "mean_gap", "blocks": 1, "pooled": False},
+        ]
+        assert inner == [{"quantity": "mean_nu", "blocks": 2, "pooled": False}]
+        assert not ensemble._sweep_logs
 
     def test_pool_processes_capped_at_cpu_count(self, fake_pool):
         params = ChainParams(n=10, u=1.0, w=0.9)
@@ -369,29 +394,161 @@ class TestWorkerPool:
         r = ensemble._INDEX_BLOCK + 1  # two blocks: the smallest pooled ensemble
         alone = estimate_mean_nu(params, dist, r, 5, threads=1)
         many = estimate_mean_nu(params, dist, r, 5, threads=100_000)
-        with ensemble.worker_pool(100_000):
-            shared = estimate_mean_nu(params, dist, r, 5, threads=100_000)
+        # four blocks over the 2 CPUs
+        estimate_mean_nu(params, dist, 3 * ensemble._INDEX_BLOCK + 1, 5, threads=0)
         assert fake_pool == [2, 2]
-        assert many == alone and shared == alone
+        assert many == alone
 
-    def test_pool_starts_only_when_needed(self):
+    def test_pool_starts_only_when_needed(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("process forked")
+
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "fork", no_fork)
         params = ChainParams(n=10, u=1.0, w=0.9)
-        with ensemble.worker_pool(2):
+        dist = FlatDistribution(0.4, 1.0)
+        with ensemble.sweep_log() as log:
             # one block, up to the largest ensemble that runs in-process
             for r in (3, ensemble._INDEX_BLOCK):
-                estimate_mean_nu(params, FlatDistribution(0.4, 1.0), r, 5, threads=2)
-                assert ensemble._run_pools[-1].executor is None
+                estimate_mean_nu(params, dist, r, 5, threads=2)
+            # two blocks, one worker
+            estimate_mean_nu(params, dist, ensemble._INDEX_BLOCK + 1, 5, threads=1)
+        assert [s["pooled"] for s in log] == [False, False, False]
 
-    def test_rings_pool_one_per_task(self):
-        # two ring blocks of 40 spread over two workers: the gap estimator keeps pooling
+    def test_rings_pool_one_per_task(self, monkeypatch):
+        # two ring blocks of 40, one per process: the gap estimator keeps forking
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
         params = ChainParams(n=10, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
         dist = FlatDistribution(0.3, 1.0)
         r = 80
         serial = estimate_mean_gap(params, dist, r, 5, threads=1)
-        with ensemble.worker_pool(2):
+        with ensemble.sweep_log() as log:
             pooled = estimate_mean_gap(params, dist, r, 5, threads=2)
-            assert ensemble._run_pools[-1].executor is not None
+        assert log == [{"quantity": "mean_gap", "blocks": 2, "pooled": True}]
         assert pooled.value == serial.value and pooled.stderr == serial.stderr
+        assert_no_children()
+
+    def test_blocks_dealt_out_strided(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 3)
+
+        def worker(_params, _points, _r, rows):
+            return (np.array(rows), np.full(len(rows), os.getpid()))
+
+        rows, pids = map_rows(worker, 0, r=14)
+        assert rows.tolist() == [list(range(14))]
+        # blocks 0..6 of two rows; block i is mapped by process i % 3, the caller first
+        owners = pids[0, ::2]
+        assert owners[0] == os.getpid()
+        assert [owners[i] == owners[i % 3] for i in range(7)] == [True] * 7
+        assert len(set(owners)) == 3
+        assert_no_children()
+
+    def test_child_warnings_reach_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+
+        def worker(_params, _points, _r, rows):
+            if rows.start // 2 in (1, 3):  # blocks of the child's share only
+                warnings.warn(f"block {rows.start // 2}", RuntimeWarning)
+            return (np.array(rows),)
+
+        serial = caught_warnings(map_rows, worker, 1)
+        assert [w[:2] for w in serial] == [
+            ("block 1", RuntimeWarning),
+            ("block 3", RuntimeWarning),
+        ]
+        assert caught_warnings(map_rows, worker, 2) == serial
+        assert_no_children()
+
+    def test_degenerate_pair_warning_reaches_the_caller(self, monkeypatch):
+        # block 3, in the child's share, holds three decoupled dimers: every level is +-1
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+
+        def worker(_params, _points, _r, rows):
+            inter = 0.0 if rows.start == 6 else 0.5
+            e = np.tile([1.0, inter, 1.0, inter, 1.0], (len(rows), 1))
+            return midgap_vectors(e, midgap_levels(e))
+
+        serial = caught_warnings(map_rows, worker, 1)
+        message = "midgap pair is degenerate with the next eigenvalue"
+        assert [w[:2] for w in serial] == [(message, UserWarning)]
+        assert caught_warnings(map_rows, worker, 2) == serial
+        with pytest.warns(UserWarning, match="degenerate"):
+            map_rows(worker, 2)
+        assert_no_children()
+
+    def test_child_error_reraised(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+
+        def worker(_params, _points, _r, rows):
+            if rows.start == 2:  # block 1: the child's first
+                raise ValueError("row 2 is bad")
+            return (np.array(rows),)
+
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="^row 2 is bad$"):
+                map_rows(worker, threads)
+            assert_no_children()
+
+    def test_unpicklable_child_error_falls_back_to_its_repr(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+
+        class LocalError(Exception):
+            pass
+
+        def worker(_params, _points, _r, rows):
+            if rows.start == 2:
+                raise LocalError("row 2")
+            return (np.array(rows),)
+
+        with pytest.raises(RuntimeError, match=r"^LocalError\('row 2'\)$"):
+            map_rows(worker, 2)
+        assert_no_children()
+
+    def test_earliest_failed_block_wins(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 3)
+
+        def worker(_params, _points, _r, rows):
+            block = rows.start // 2
+            if block in (1, 2):  # the first blocks of the two children
+                warnings.warn(f"block {block}")
+                raise ValueError(f"block {block} failed")
+            return (np.array(rows),)
+
+        for threads in (1, 3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="^block 1 failed$"):
+                    map_rows(worker, threads)
+            # block 2's warning comes after the failure at threads=1, so never
+            assert [str(w.message) for w in caught] == ["block 1"]
+            assert_no_children()
+
+    def test_child_exit_without_reply(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+
+        def worker(_params, _points, _r, rows):
+            if rows.start == 2:
+                os._exit(3)
+            return (np.array(rows),)
+
+        with pytest.raises(RuntimeError, match="exited with status 3 and sent no result"):
+            map_rows(worker, 2)
+        assert_no_children()
+
+    def test_caller_failure_kills_children(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+
+        def worker(_params, _points, _r, rows):
+            if rows.start == 0:  # block 0: the caller's own
+                raise ValueError("caller's block")
+            time.sleep(60)  # the child's blocks: killed, not waited for
+            return (np.array(rows),)
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="caller's block"):
+            map_rows(worker, 2)
+        assert time.monotonic() - start < 30.0
+        assert_no_children()
 
 
 class TestMeanGap:
@@ -519,10 +676,10 @@ class TestSweep:
         # 2 gamma x 40 rings of 10 dimers: two ring blocks, one index block
         params = ChainParams(n=10, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
         points = [(FlatDistribution(0.3, 1.0), 1), (FlatDistribution(0.6, 1.0), 2)]
-        with ensemble.worker_pool(2) as pool:
+        with ensemble.sweep_log() as log:
             sweep_mean_gap(params, points, 40, threads=2)
             sweep_mean_nu(params, points, 40, threads=2)
-        assert pool.sweeps == [
+        assert log == [
             {"quantity": "mean_gap", "blocks": 2, "pooled": True},
             {"quantity": "mean_nu", "blocks": 1, "pooled": False},
         ]
@@ -552,11 +709,11 @@ class TestGapBlocks:
         sweep = [(FlatDistribution(0.3, 1.0), p) for p in range(points)]
         for threads in (1, 2, 0):
             seen.clear()
-            with ensemble.worker_pool(threads) as pool:
+            with ensemble.sweep_log() as log:
                 sweep_mean_gap(params, sweep, r, threads=threads)
             pooled = threads != 1 and len(sizes) > 1
             assert seen == sizes
-            assert pool.sweeps == [{"quantity": "mean_gap", "blocks": len(sizes), "pooled": pooled}]
+            assert log == [{"quantity": "mean_gap", "blocks": len(sizes), "pooled": pooled}]
 
     def test_sweep_bytes_equal_blocks_of_four(self):
         # 3 gamma x 27 rings of 10 dimers: blocks of 41 and 40 rows, against blocks of 4

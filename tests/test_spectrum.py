@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,35 @@ class TestTridiagonal:
                 # a zero coupling, or one whose square underflows to zero
                 e[rng.integers(n - 1)] = 0.0 if k % 3 == 1 else 1e-170
             assert eigvals_sturm(d, e).tobytes() == oracle_eigvals(d, e).tobytes()
+
+    @pytest.mark.parametrize(
+        "d, e",
+        [
+            ([-0.0, 0.0], [0.5]),
+            ([-0.0, -0.0], [0.5]),
+            ([-0.0, -1.0, -0.0, 0.0], [0.0, 0.0, 0.0]),
+            ([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0], [1.0, 0.8, 1.2, 0.0, 0.9]),
+        ],
+    )
+    def test_negative_zero_diagonal_matches_eigvalsh(self, d, e):
+        d, e = np.array(d), np.array(e)
+        expected = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        bound = float(np.max(np.abs(expected)))
+        got = eigvals_sturm(d, e)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * bound)
+        # -0.0 counts as +0.0, in the kernel and in the oracle alike
+        assert got.tobytes() == eigvals_sturm(d + 0.0, e).tobytes()
+        assert got.tobytes() == oracle_eigvals(d, e).tobytes()
+
+    def test_zero_bond_with_a_diagonal_warns_no_overflow(self):
+        # a floored zero square over a pivot of order 1, then a bond square over that pivot
+        d = np.array([0.5, -1.0, 0.0, 0.0, -1.0, 0.0])
+        e = np.array([-0.5, 0.0, 0.5, -0.5, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigvals_sturm(d, e)
+        expected = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
 
 
 class TestMidgapLevels:
@@ -601,17 +631,15 @@ class TestLevelProperties:
     @given(tridiagonal_chains())
     def test_eigvals_sturm_matches_oracle(self, chain):
         d, e = unit_scaled(*chain)
-        with np.errstate(over="ignore"):  # a pivot near zero overflows its quotient to inf
-            assert eigvals_sturm(d, e).tobytes() == oracle_eigvals(d, e).tobytes()
+        assert eigvals_sturm(d, e).tobytes() == oracle_eigvals(d, e).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(open_chain_blocks())
     def test_central_levels_and_gaps_of_a_block_match_oracle(self, rows):
         e = np.array([unit_scaled(row)[0] for row in rows])
-        with np.errstate(over="ignore"):
-            expected = np.array([central_entries(row) for row in e])
-            assert midgap_levels(e).tobytes() == expected.tobytes()
-            assert chain_gaps(e).tobytes() == (2.0 * np.min(np.abs(expected), axis=1)).tobytes()
+        expected = np.array([central_entries(row) for row in e])
+        assert midgap_levels(e).tobytes() == expected.tobytes()
+        assert chain_gaps(e).tobytes() == (2.0 * np.min(np.abs(expected), axis=1)).tobytes()
 
     def test_all_zero_row_in_a_block(self):
         rng = np.random.default_rng(63)
@@ -779,6 +807,10 @@ class TestDense:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eigenvalues_dense(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    def test_negative_zero_householder_diagonal(self):
+        got = eigenvalues_dense(np.array([[-0.0, 0.5], [0.5, 0.0]])).eigenvalues
+        np.testing.assert_allclose(got, [-0.5, 0.5], rtol=0.0, atol=1e-13)
 
 
 class TestSpectralResult:
