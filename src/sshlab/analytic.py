@@ -278,6 +278,8 @@ def variance_nu(n: int, u: float, w: float, gamma: float, mode: str = "general")
     if mode == "weak":
         if gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
+        if u == 0.0:
+            raise ValueError("u must be nonzero")
         if gamma == 0.0:
             return 0.25 if u == w else 0.0
         arg = math.sqrt(0.5 * n) * ((u - w) / gamma - gamma / (2.0 * u))

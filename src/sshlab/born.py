@@ -124,7 +124,7 @@ def g_quadrature(p: BornParams) -> complex:
 
 def f_narrow_peak(delta: float, u: float, alpha: float) -> complex:
     """Midgap narrow-peak form -i alpha / (2u sqrt(delta^2 + alpha^2))."""
-    _check_narrow_peak_args(delta, alpha)
+    _check_narrow_peak_args(delta, u, alpha)
     return -1j * alpha / (2.0 * u * math.sqrt(delta * delta + alpha * alpha))
 
 
@@ -133,13 +133,15 @@ def g_narrow_peak(delta: float, u: float, alpha: float) -> complex:
 
     At delta = 0 the quotient is -0.0; + 0.0 makes it 0.0, as `_bz_averages` does.
     """
-    _check_narrow_peak_args(delta, alpha)
+    _check_narrow_peak_args(delta, u, alpha)
     return complex(-delta / (2.0 * u * math.sqrt(delta * delta + alpha * alpha)) + 0.0)
 
 
-def _check_narrow_peak_args(delta: float, alpha: float) -> None:
+def _check_narrow_peak_args(delta: float, u: float, alpha: float) -> None:
     if delta < 0.0:
         raise ValueError("narrow-peak forms are derived for the delta >= 0 branch")
+    if u == 0.0:
+        raise ValueError("u must be nonzero")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
 
@@ -176,6 +178,8 @@ def midgap_dos(delta: float, u: float, gamma: float, alpha: float) -> float:
     """
     if delta <= 0.0:
         raise ValueError("midgap density of states is derived for delta > 0")
+    if u == 0.0:
+        raise ValueError("u must be nonzero")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if gamma < 0.0:

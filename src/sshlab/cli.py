@@ -441,7 +441,7 @@ def run_selftest() -> int:
         )
     )
     p_mc, dist = model.ChainParams(n=10, u=1.0, w=1.0), ensemble.FlatDistribution(0.4, 1.0)
-    acc, _ = ensemble._log_ratio_block(p_mc, [(dist, 7)], 8, range(8))
+    acc = ensemble._log_ratio_block(p_mc, [(dist, 7)], 8, range(8))
     block_nu = invariant.index_from_log_xi(invariant.log_xi_offset(p_mc) + acc)
     rows = [ensemble.sample_realization(dist, 10, 7, i) for i in range(8)]
     row_nu = [invariant.winding_closed_form(real, p_mc) for real in rows]
@@ -451,8 +451,8 @@ def run_selftest() -> int:
     same = True
     for bc, worker in (("open", ensemble._profile_block), ("periodic", ensemble._gap_block)):
         p_sw = model.ChainParams(n=6, u=1.0, w=0.9, bc=model.BoundaryCondition(bc))
-        alone = [worker(p_sw, [pt], 3, range(3))[0] for pt in points]
-        mixed = worker(p_sw, points, 3, range(1, 5))[0]
+        alone = [worker(p_sw, [pt], 3, range(3)) for pt in points]
+        mixed = worker(p_sw, points, 3, range(1, 5))
         same = same and np.array_equal(mixed, np.concatenate(alone)[1:5])
     checks.append(("sweep block", same))
     checks.append(

@@ -13,10 +13,11 @@ maps its blocks by fork-join (the kernels are CPU bound in Python loops):
 block i goes to process i % W, the caller maps share 0 while W - 1 forked
 children map the others and send them back through pipes.  A worker
 samples its block's rows into one array and keeps it an array down to the
-batched kernels, so one kernel call serves rows of several points, and the
-reduction splits the results by point in index order.  A one-point
-estimate is a sweep of one point.  The index of a block comes from its row
-sums acc_i = sum_j log|c_ij/u|.
+batched kernels, so one kernel call serves rows of several points, and
+returns one array with a row per sweep row; the reduction splits the rows
+by point in index order.  A one-point estimate is a sweep of one point.
+The index and eta of a block both come from its row sums
+acc_i = sum_j log|c_ij/u|.
 """
 
 from __future__ import annotations
@@ -130,29 +131,17 @@ class EnsembleEstimate:
     n_realizations: int
     master_seed: int
     n_excluded: int = 0
-    n_resampled: int = 0
-
-
-def _stream(master_seed: int, index: int) -> np.random.Generator:
-    """The process's generator at the start of realization `index`'s stream.
-
-    Its draws are bit-identical to those of a Generator(Philox(key)) built
-    for the key (master_seed, index) alone.
-    """
-    _KEY[0] = master_seed & _MASK64
-    _KEY[1] = index & _MASK64
-    _PHILOX.state = _FRESH_STATE
-    return _GENERATOR
 
 
 def _sample_block(points, r: int, n: int, rows: range) -> np.ndarray:
     """The n couplings of the sweep rows `rows`, one row each.
 
     Row k is realization k % r of point k // r, `points` holding
-    (dist, master_seed) pairs.  Each row takes its stream's first n
-    standard uniforms (`_stream`, inlined), and one `dist.couplings` call
-    per point maps that point's rows onto its support: row for row the
-    draws of `dist.sample` from that stream.
+    (dist, master_seed) pairs.  Each row re-keys the process's Philox to
+    (master_seed, index) and takes that stream's first n standard uniforms,
+    and one `dist.couplings` call per point maps that point's rows onto its
+    support: row for row the draws of `dist.sample` from a
+    Generator(Philox(key)) built for that key alone.
     """
     block = np.empty((len(rows), n))
     for p in range(rows.start // r, (rows.stop - 1) // r + 1):
@@ -207,7 +196,7 @@ def sweep_log():
         _sweep_logs.remove(log)
 
 
-def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: int) -> list:
+def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: int) -> np.ndarray:
     """worker(params, points, r, rows) over a sweep's rows in blocks, split by point.
 
     `points` holds (dist, master_seed) pairs.  Each block is a range of
@@ -217,8 +206,8 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     same rows with any number of processes.  A sweep of one block, or one
     whose `threads` resolve to one worker (`_workers`), stays in-process;
     the others fork one child per further worker (`_fork_map`).
-    The worker returns a tuple of per-row arrays; so does this map, each
-    reshaped to (point, index, ...).
+    The worker returns one array with a row per sweep row; so does this
+    map, reshaped to (point, index, ...).
     """
     if not points:
         raise ValueError("a sweep needs at least one point")
@@ -235,10 +224,7 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
         entry = {"quantity": quantity, "blocks": len(blocks), "pooled": workers > 1}
         _sweep_logs[-1].append(entry)
     results = _fork_map(worker, blocks, workers) if workers > 1 else [worker(b) for b in blocks]
-    return [
-        np.concatenate(rows).reshape(len(points), r, *rows[0].shape[1:])
-        for rows in zip(*results)
-    ]
+    return np.concatenate(results).reshape(len(points), r, *results[0].shape[1:])
 
 
 def _fork_map(worker, blocks: list, workers: int) -> list:
@@ -341,25 +327,18 @@ def _mean_stderr(x: np.ndarray):
     return x.mean(axis=0), se
 
 
-def _log_ratio_block(params, points, r, rows, redraw_zeros=False):
-    """Row sums acc_i = sum_j log|c_ij/u| of a block, and the redraws per row.
+def _log_ratio_block(params, points, r, rows):
+    """Row sums acc_i = sum_j log|c_ij/u| of a block; -inf at a zero coupling.
 
-    With redraw_zeros, a row holding an exactly zero coupling is drawn
-    again from its own stream, continuing where that stream left off,
-    until it holds none; each redraw is counted.
+    A NaN or infinite coupling raises ValueError; a +inf sum from finite
+    couplings (a ratio to a tiny u that overflows) stands.
     """
     couplings = _sample_block(points, r, params.n, rows)
-    redraws = np.zeros(len(couplings), dtype=np.int64)
-    if redraw_zeros:
-        for k in np.flatnonzero(np.any(couplings == 0.0, axis=1)):
-            dist, seed = points[rows[k] // r]
-            rng = _stream(seed, rows[k] % r)
-            row = dist.sample(rng, params.n)  # the draw that held a zero
-            while np.any(row == 0.0):
-                redraws[k] += 1
-                row = dist.sample(rng, params.n)
-            couplings[k] = row
-    return log_ratio_sums(couplings, params.u), redraws
+    acc = log_ratio_sums(couplings, params.u)
+    high = ~(acc < math.inf)
+    if high.any() and not np.isfinite(couplings[high]).all():
+        raise ValueError("couplings must be finite")
+    return acc
 
 
 def _profile_block(params, points, r, rows):
@@ -373,7 +352,7 @@ def _profile_block(params, points, r, rows):
     offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows))
     a, b = midgap_vectors(offdiag, midgap_levels(offdiag))
     per_dimer = (a / math.sqrt(2.0)) ** 2 + (b / math.sqrt(2.0)) ** 2
-    return (per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True)),)
+    return per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True))
 
 
 def _gap_block_rows(rows: int, n: int) -> int:
@@ -393,7 +372,7 @@ def _gap_block_rows(rows: int, n: int) -> int:
 def _gap_block(params, points, r, rows):
     """The gaps of a block's chains from one batched level call (`chain_gaps`)."""
     offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows))
-    return (chain_gaps(offdiag, params.corner),)
+    return chain_gaps(offdiag, params.corner)
 
 
 def sweep_mean_nu(
@@ -411,7 +390,7 @@ def sweep_mean_nu(
     if r < 2:
         raise ValueError("need at least 2 realizations")
     offset = log_xi_offset(params)
-    acc, _ = _map_sweep("mean_nu", _log_ratio_block, params, points, r, _INDEX_BLOCK, threads)
+    acc = _map_sweep("mean_nu", _log_ratio_block, params, points, r, _INDEX_BLOCK, threads)
     estimates = []
     for (dist, seed), point_acc in zip(points, acc):
         nu = index_from_log_xi(offset + point_acc)
@@ -440,7 +419,7 @@ def sweep_wavefunction_profile(
         raise ValueError("need at least 1 realization")
     if params.bc is not BoundaryCondition.OPEN:
         raise ValueError("wavefunction profile requires open boundaries")
-    (profiles,) = _map_sweep(
+    profiles = _map_sweep(
         "wavefunction_profile", _profile_block, params, points, r, _PROFILE_BLOCK, threads
     )
     return [
@@ -462,7 +441,7 @@ def sweep_mean_gap(
     if r < 1:
         raise ValueError("need at least 1 realization")
     block = _gap_block_rows(len(points) * r, params.n)
-    (gaps,) = _map_sweep("mean_gap", _gap_block, params, points, r, block, threads)
+    gaps = _map_sweep("mean_gap", _gap_block, params, points, r, block, threads)
     return [
         EnsembleEstimate("mean_gap", *map(float, _mean_stderr(rows)), r, seed)
         for (_, seed), rows in zip(points, gaps)
@@ -487,31 +466,32 @@ def estimate_eta_moments(
     master_seed: int,
     threads: int = 0,
 ) -> EnsembleEstimate:
-    """Sample mean and variance of eta = sum log|1 + du_i/u|.
+    """Sample mean and variance of eta = sum log|1 + du_i/u| (the index's row sums).
 
     The contract is mean ~ n*z1 and variance ~ n*z2, z1 and z2 the
-    cumulants of log|1 + eps/u|.  Draws containing an exactly zero
-    coupling are redrawn from the same stream and counted in n_resampled.
+    cumulants of log|1 + eps/u|.  Realizations holding an exactly zero
+    coupling (eta = -inf) are excluded and counted in n_excluded, which
+    samples the law conditioned on no zero coupling.
     """
     if r < 100:
         raise ValueError("need at least 100 realizations for moment estimates")
     if params.u == 0.0:
         raise ValueError("u must be nonzero")
-    worker = partial(_log_ratio_block, redraw_zeros=True)
-    point = [(dist, master_seed)]
-    acc, redraws = _map_sweep("eta_moments", worker, params, point, r, _INDEX_BLOCK, threads)
-    etas = acc[0]
+    acc = _map_sweep(
+        "eta_moments", _log_ratio_block, params, [(dist, master_seed)], r, _INDEX_BLOCK, threads
+    )
+    etas = acc[0][acc[0] > -math.inf]
+    k = len(etas)
+    if k < 2:
+        raise RuntimeError(
+            f"fewer than 2 realizations without a zero coupling at gamma = {dist.gamma}"
+        )
     mean, var = float(etas.mean()), float(etas.var(ddof=1))
     m4 = float(np.mean((etas - mean) ** 4))
-    se_var = math.sqrt(max((m4 - var * var * (r - 3) / (r - 1)) / r, 0.0))
-    stderr = np.array([math.sqrt(var / r), se_var])
+    se_var = math.sqrt(max((m4 - var * var * (k - 3) / (k - 1)) / k, 0.0))
+    stderr = np.array([math.sqrt(var / k), se_var])
     return EnsembleEstimate(
-        "eta_moments",
-        np.array([mean, var]),
-        stderr,
-        r,
-        master_seed,
-        n_resampled=int(redraws[0].sum()),
+        "eta_moments", np.array([mean, var]), stderr, k, master_seed, n_excluded=r - k
     )
 
 

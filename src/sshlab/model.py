@@ -69,6 +69,8 @@ class Realization:
         arr = np.array(self.couplings, dtype=float)
         if arr.ndim != 1:
             raise ValueError("couplings must be a 1-d vector")
+        if not np.isfinite(arr).all():
+            raise ValueError("couplings must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "couplings", arr)
 
@@ -82,7 +84,8 @@ class ChainMatrix:
     """Zero-diagonal real symmetric chain matrix.
 
     `offdiag` holds the 2n-1 nearest-neighbour couplings; `corner` is the
-    (0, 2n-1) entry closing the ring (None for open chains).
+    (0, 2n-1) entry closing the ring (None for open chains).  A ring needs
+    at least 3 sites: on 2 the corner would sit on the one bond.
     """
 
     offdiag: np.ndarray
@@ -90,6 +93,8 @@ class ChainMatrix:
 
     def __post_init__(self):
         arr = np.array(self.offdiag, dtype=float)
+        if self.corner is not None and len(arr) < 2:
+            raise ValueError("a ring needs at least 3 sites")
         arr.setflags(write=False)
         object.__setattr__(self, "offdiag", arr)
 

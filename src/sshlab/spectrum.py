@@ -236,16 +236,12 @@ def _golub_kahan_step(buf: np.ndarray, h: int, work) -> tuple[np.ndarray, np.nda
     # reflected row, and the rest of the window loses vt p^T
     alpha = np.copysign(np.sqrt(np.einsum("ij,ij->i", x, x)), x[:, 0])
     y = np.matmul(x[:, None, :], rest)[:, 0]
-    if alpha.all():
-        y /= alpha[:, None]
-        np.divide(x[:, 1:], (x[:, 0] + alpha)[:, None], out=vt)
-    else:
-        # a zero column keeps its rows: y = -rest[0] and vt = 0
-        live = alpha != 0.0
-        y /= np.where(live, alpha, 1.0)[:, None]
-        y[~live] = -rest[~live, 0]
-        np.divide(x[:, 1:], np.where(live, x[:, 0] + alpha, 1.0)[:, None], out=vt)
-        vt[~live] = 0.0
+    # a zero column keeps its rows: y = -rest[0] and vt = 0
+    live = alpha != 0.0
+    y /= np.where(live, alpha, 1.0)[:, None]
+    y[~live] = -rest[~live, 0]
+    np.divide(x[:, 1:], np.where(live, x[:, 0] + alpha, 1.0)[:, None], out=vt)
+    vt[~live] = 0.0
     np.add(rest[:, 0], y, out=p)
     if s == 2:
         trail[:, 0, 0] -= vt[:, 0] * p[:, 0]
@@ -254,13 +250,9 @@ def _golub_kahan_step(buf: np.ndarray, h: int, work) -> tuple[np.ndarray, np.nda
     # (trail - vt p^T)(I - tau z z^T) = trail - vt p^T - q z^T
     beta = np.copysign(np.sqrt(np.einsum("ij,ij->i", y, y)), y[:, 0])
     z0 = y[:, 0] + beta
-    if beta.all():
-        tau = z0 / beta
-        np.divide(y, z0[:, None], out=z)
-    else:
-        live = beta != 0.0
-        tau = np.where(live, z0, 0.0) / np.where(live, beta, 1.0)
-        np.divide(y, np.where(live, z0, 1.0)[:, None], out=z)
+    live = beta != 0.0
+    tau = np.where(live, z0, 0.0) / np.where(live, beta, 1.0)
+    np.divide(y, np.where(live, z0, 1.0)[:, None], out=z)
     z[:, 0] = 1.0
     np.matmul(trail, z[:, :, None], out=q[:, :, None])
     q -= np.einsum("ij,ij->i", p, z)[:, None] * vt

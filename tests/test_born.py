@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import born_quadrature
 
-from sshlab.analytic import critical_gamma_weak
+from sshlab.analytic import critical_gamma_weak, variance_nu
 from sshlab.born import (
     BornParams,
     averaged_greens_function,
@@ -310,3 +310,19 @@ class TestBandTouchGamma:
             band_touch_gamma(1.0, 1.2)
         with pytest.raises(ValueError):
             band_touch_gamma(1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (lambda *a: variance_nu(*a, mode="weak"), (100, 0.0, 0.9, 0.3)),
+        (f_narrow_peak, (0.1, 0.0, 1e-4)),
+        (g_narrow_peak, (0.1, 0.0, 1e-4)),
+        (midgap_dos, (0.1, 0.0, 0.3, 1e-4)),
+    ],
+    ids=["variance_nu_weak", "f_narrow_peak", "g_narrow_peak", "midgap_dos"],
+)
+def test_zero_u_rejected(fn, args):
+    # each form divides by u
+    with pytest.raises(ValueError, match="^u must be nonzero$"):
+        fn(*args)

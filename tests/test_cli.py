@@ -548,6 +548,28 @@ class TestMainEntry:
                 os.waitpid(-1, os.WNOHANG)
         assert errors[0] == errors[1] == "error: couplings must be finite\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 1001 realizations: three index blocks, so threads=2 forks
+            ["mean-nu", "--n", "4", "--realizations", "1001", "--gamma-grid", "1e308"],
+            ["invariant", "--n", "4", "--gamma-grid", "1e308"],
+        ],
+        ids=["mean-nu", "invariant"],
+    )
+    def test_infinite_couplings_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        from sshlab import ensemble
+
+        # the support width overflows at gamma = 1e308: every coupling is infinite
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        for t in (1, 2):
+            out = tmp_path / f"run{t}.csv"
+            assert main([*argv, "--threads", str(t), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: couplings must be finite\n"
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
     def test_cli_overrides_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(

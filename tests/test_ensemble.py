@@ -67,21 +67,20 @@ def oracle_mean_nu(params, dist, r, seed):
 
 
 def oracle_eta(params, dist, r, seed):
-    """(mean, var, se_mean, se_var, redraws) from per-row log sums of the
-    reference stream, redrawing rows with a zero coupling from that stream."""
-    etas, redraws = [], 0
+    """(mean, var, se_mean, se_var, excluded) from per-row log sums of the
+    reference stream, leaving out the rows that hold a zero coupling."""
+    etas, excluded = [], 0
     for i in range(r):
-        rng = realization_rng(seed, i)
-        c = dist.sample(rng, params.n)
-        while np.any(c == 0.0):
-            redraws += 1
-            c = dist.sample(rng, params.n)
-        etas.append(float(np.sum(np.log(np.abs(c / params.u)))))
-    etas = np.array(etas)
+        c = dist.sample(realization_rng(seed, i), params.n)
+        if np.any(c == 0.0):
+            excluded += 1
+        else:
+            etas.append(float(np.sum(np.log(np.abs(c / params.u)))))
+    etas, k = np.array(etas), len(etas)
     mean, var = float(etas.mean()), float(etas.var(ddof=1))
     m4 = float(np.mean((etas - mean) ** 4))
-    se_var = math.sqrt(max((m4 - var * var * (r - 3) / (r - 1)) / r, 0.0))
-    return mean, var, math.sqrt(var / r), se_var, redraws
+    se_var = math.sqrt(max((m4 - var * var * (k - 3) / (k - 1)) / k, 0.0))
+    return mean, var, math.sqrt(var / k), se_var, excluded
 
 
 class TestSampler:
@@ -136,11 +135,11 @@ class TestSampler:
                         assert single.tobytes() == row.tobytes()
 
     def test_rekey_ignores_a_dirty_generator(self):
-        # two doubles and an int32 draw leave the Philox buffer part used and
-        # half a uint64 cached; the re-key must clear both
-        rng = ensemble._stream(0, 0)
-        rng.random(2)
-        rng.integers(0, 10, dtype=np.int32)
+        # after a block, two doubles and an int32 draw leave the Philox buffer
+        # part used and half a uint64 cached; the next re-key must clear both
+        ensemble._sample_block([(FlatDistribution(0.3, 1.0), 0)], 1, 3, range(1))
+        ensemble._GENERATOR.random(2)
+        ensemble._GENERATOR.integers(0, 10, dtype=np.int32)
         state = ensemble._PHILOX.state
         assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
         points = [(FlatDistribution(0.3, 1.0), 2**64 - 1), (FlatDistribution(0.9, 1.0), 5)]
@@ -254,24 +253,43 @@ class TestEtaMoments:
     def test_blocks_match_per_realization_oracle(self):
         params = ChainParams(n=100, u=1.0, w=0.9)
         dist = FlatDistribution(gamma=0.5, u=1.0)
-        mean, var, se_mean, se_var, redraws = oracle_eta(params, dist, R_BLOCKS, 9)
+        mean, var, se_mean, se_var, excluded = oracle_eta(params, dist, R_BLOCKS, 9)
         for t in (1, 2, 0):
             est = estimate_eta_moments(params, dist, R_BLOCKS, 9, threads=t)
             assert tuple(est.value) == (mean, var)
             assert tuple(est.stderr) == (se_mean, se_var)
-            assert est.n_resampled == redraws == 0
+            assert (est.n_realizations, est.n_excluded, excluded) == (R_BLOCKS, 0, 0)
 
-    def test_zero_couplings_redrawn_from_same_stream(self):
+    def test_zero_coupling_rows_excluded(self):
         params = ChainParams(n=2, u=1.0, w=0.9)
         dist = SnappedDistribution(gamma=0.5, u=1.0)
         r = ensemble._INDEX_BLOCK + 150
-        mean, var, se_mean, se_var, redraws = oracle_eta(params, dist, r, 4)
-        assert redraws > r // 4
+        mean, var, se_mean, se_var, excluded = oracle_eta(params, dist, r, 4)
+        assert excluded > r // 4
         for t in (1, 2):
             est = estimate_eta_moments(params, dist, r, 4, threads=t)
-            assert est.n_resampled == redraws
+            assert (est.n_realizations, est.n_excluded) == (r - excluded, excluded)
             assert tuple(est.value) == (mean, var)
             assert tuple(est.stderr) == (se_mean, se_var)
+        # at n = 50 a row is free of zeros with probability 0.75**50
+        with pytest.raises(RuntimeError, match="fewer than 2 realizations without a zero"):
+            estimate_eta_moments(ChainParams(n=50, u=1.0, w=0.9), dist, 100, 4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, monkeypatch, value):
+        monkeypatch.setattr(FlatDistribution, "couplings", lambda self, x: np.full_like(x, value))
+        params = ChainParams(n=3, u=1.0, w=0.9)
+        with pytest.raises(ValueError, match="^couplings must be finite$"):
+            ensemble._log_ratio_block(params, [(FlatDistribution(0.1, 1.0), 0)], 4, range(4))
+
+    def test_overflowing_ratio_of_finite_couplings_stands(self):
+        # couplings of order 1e10 over u = 1e-300: nearly every ratio overflows to +inf
+        params = ChainParams(n=3, u=1e-300, w=0.9)
+        point = [(FlatDistribution(1e10, 1e-300), 0)]
+        couplings = ensemble._sample_block(point, 4, 3, range(4))
+        assert np.isfinite(couplings).all()
+        with np.errstate(over="ignore"):
+            assert (ensemble._log_ratio_block(params, point, 4, range(4)) == math.inf).all()
 
     def test_clt_skewness_bound(self):
         n, r = 100, 400
@@ -432,9 +450,9 @@ class TestWorkerPool:
         monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 3)
 
         def worker(_params, _points, _r, rows):
-            return (np.array(rows), np.full(len(rows), os.getpid()))
+            return np.stack((np.array(rows), np.full(len(rows), os.getpid())), axis=1)
 
-        rows, pids = map_rows(worker, 0, r=14)
+        rows, pids = np.moveaxis(map_rows(worker, 0, r=14), -1, 0)
         assert rows.tolist() == [list(range(14))]
         # blocks 0..6 of two rows; block i is mapped by process i % 3, the caller first
         owners = pids[0, ::2]
@@ -449,7 +467,7 @@ class TestWorkerPool:
         def worker(_params, _points, _r, rows):
             if rows.start // 2 in (1, 3):  # blocks of the child's share only
                 warnings.warn(f"block {rows.start // 2}", RuntimeWarning)
-            return (np.array(rows),)
+            return np.array(rows)
 
         serial = caught_warnings(map_rows, worker, 1)
         assert [w[:2] for w in serial] == [
@@ -466,7 +484,7 @@ class TestWorkerPool:
         def worker(_params, _points, _r, rows):
             inter = 0.0 if rows.start == 6 else 0.5
             e = np.tile([1.0, inter, 1.0, inter, 1.0], (len(rows), 1))
-            return midgap_vectors(e, midgap_levels(e))
+            return midgap_vectors(e, midgap_levels(e))[0]
 
         serial = caught_warnings(map_rows, worker, 1)
         message = "midgap pair is degenerate with the next eigenvalue"
@@ -482,7 +500,7 @@ class TestWorkerPool:
         def worker(_params, _points, _r, rows):
             if rows.start == 2:  # block 1: the child's first
                 raise ValueError("row 2 is bad")
-            return (np.array(rows),)
+            return np.array(rows)
 
         for threads in (1, 2):
             with pytest.raises(ValueError, match="^row 2 is bad$"):
@@ -498,7 +516,7 @@ class TestWorkerPool:
         def worker(_params, _points, _r, rows):
             if rows.start == 2:
                 raise LocalError("row 2")
-            return (np.array(rows),)
+            return np.array(rows)
 
         with pytest.raises(RuntimeError, match=r"^LocalError\('row 2'\)$"):
             map_rows(worker, 2)
@@ -512,7 +530,7 @@ class TestWorkerPool:
             if block in (1, 2):  # the first blocks of the two children
                 warnings.warn(f"block {block}")
                 raise ValueError(f"block {block} failed")
-            return (np.array(rows),)
+            return np.array(rows)
 
         for threads in (1, 3):
             with warnings.catch_warnings(record=True) as caught:
@@ -529,7 +547,7 @@ class TestWorkerPool:
         def worker(_params, _points, _r, rows):
             if rows.start == 2:
                 os._exit(3)
-            return (np.array(rows),)
+            return np.array(rows)
 
         with pytest.raises(RuntimeError, match="exited with status 3 and sent no result"):
             map_rows(worker, 2)
@@ -542,7 +560,7 @@ class TestWorkerPool:
             if rows.start == 0:  # block 0: the caller's own
                 raise ValueError("caller's block")
             time.sleep(60)  # the child's blocks: killed, not waited for
-            return (np.array(rows),)
+            return np.array(rows)
 
         start = time.monotonic()
         with pytest.raises(ValueError, match="caller's block"):
@@ -578,7 +596,7 @@ class TestMeanGap:
 
 def assert_same_estimate(a, b):
     assert (a.quantity, a.n_realizations, a.master_seed) == (b.quantity, b.n_realizations, b.master_seed)
-    assert (a.n_excluded, a.n_resampled) == (b.n_excluded, b.n_resampled)
+    assert a.n_excluded == b.n_excluded
     assert np.asarray(a.value).tobytes() == np.asarray(b.value).tobytes()
     assert np.asarray(a.stderr).tobytes() == np.asarray(b.stderr).tobytes()
 
@@ -643,9 +661,9 @@ class TestSweep:
 
             def worker(_params, _points, _r, rows):
                 seen.append(rows)
-                return (np.array(rows),)
+                return np.array(rows)
 
-            (rows,) = ensemble._map_sweep("rows", worker, params, points, r, block, 1)
+            rows = ensemble._map_sweep("rows", worker, params, points, r, block, 1)
             assert rows.tolist() == [[p * r + i for i in range(r)] for p in range(3)]
             sizes = [len(b) for b in seen]
             assert all(size == block for size in sizes[:-1]) and 0 < sizes[-1] <= block
@@ -702,7 +720,7 @@ class TestGapBlocks:
 
         def worker(_params, _points, _r, rows):
             seen.append(len(rows))
-            return (np.zeros(len(rows)),)
+            return np.zeros(len(rows))
 
         monkeypatch.setattr(ensemble, "_gap_block", worker)
         params = ChainParams(n=n, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
@@ -721,7 +739,7 @@ class TestGapBlocks:
         points = [(FlatDistribution(g, 1.0), 60 + k) for k, g in enumerate((0.0, 0.55, 1.2))]
         r = 27
         assert ensemble._gap_block_rows(len(points) * r, params.n) == 41
-        (gaps,) = ensemble._map_sweep("mean_gap", ensemble._gap_block, params, points, r, 4, 1)
+        gaps = ensemble._map_sweep("mean_gap", ensemble._gap_block, params, points, r, 4, 1)
         for threads in (1, 2):
             swept = sweep_mean_gap(params, points, r, threads=threads)
             for est, rows in zip(swept, gaps):

@@ -234,3 +234,21 @@ class TestValidation:
         r = Realization(couplings=[1.0, 2.0])
         with pytest.raises(ValueError):
             r.couplings[0] = 5.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_couplings_rejected(self, bad):
+        with pytest.raises(ValueError, match="^couplings must be finite$"):
+            Realization(couplings=[1.0, bad, 0.5])
+        assert Realization(couplings=[1.0, 0.0, 0.5]).n == 3
+
+    def test_ring_needs_three_sites(self):
+        # on two sites the corner would be the one bond a second time
+        for offdiag in ([1.0], []):
+            with pytest.raises(ValueError, match="at least 3 sites"):
+                ChainMatrix(offdiag=offdiag, corner=0.5)
+        assert ChainMatrix(offdiag=[1.0]).trace_h2() == 2.0
+        m = ChainMatrix(offdiag=[1.0, 0.7], corner=0.5)
+        dense = m.to_dense()
+        np.testing.assert_array_equal(dense @ np.eye(3), [m.matvec(x) for x in np.eye(3)])
+        assert m.trace_h2() == pytest.approx(np.trace(dense @ dense), rel=1e-15)
+        assert m.norm_bound() == np.abs(dense).sum(axis=1).max()
