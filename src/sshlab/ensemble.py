@@ -330,13 +330,13 @@ def _mean_stderr(x: np.ndarray):
 def _log_ratio_block(params, points, r, rows):
     """Row sums acc_i = sum_j log|c_ij/u| of a block; -inf at a zero coupling.
 
-    A NaN or infinite coupling raises ValueError; a +inf sum from finite
-    couplings (a ratio to a tiny u that overflows) stands.
+    A NaN or infinite coupling raises ValueError; an infinite sum from
+    finite couplings (a ratio to a tiny u that overflows, or a zero) stands.
     """
     couplings = _sample_block(points, r, params.n, rows)
     acc = log_ratio_sums(couplings, params.u)
-    high = ~(acc < math.inf)
-    if high.any() and not np.isfinite(couplings[high]).all():
+    infinite = ~np.isfinite(acc)
+    if infinite.any() and not np.isfinite(couplings[infinite]).all():
         raise ValueError("couplings must be finite")
     return acc
 

@@ -66,13 +66,17 @@ def log_xi_offset(params: ChainParams) -> float:
 def log_ratio_sums(couplings: np.ndarray, u: float) -> np.ndarray:
     """sum_j log|c_j/u| per row (last axis), bit-identical to the row's own sum; -inf at a zero.
 
-    One temporary: the ratios, taken through abs and log in place.
+    One temporary: the ratios, taken through abs and log in place.  A ratio
+    that overflows is +inf, silently; a zero still cuts its row to -inf.
     """
-    ratios = np.divide(couplings, u)
-    np.abs(ratios, out=ratios)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = np.divide(couplings, u)
+        np.abs(ratios, out=ratios)
         np.log(ratios, out=ratios)
-    return ratios.sum(axis=-1)
+        sums = ratios.sum(axis=-1)
+    if np.isnan(sums).any():
+        sums = np.where(np.isnan(sums) & (ratios == -math.inf).any(axis=-1), -math.inf, sums)
+    return sums
 
 
 def index_from_log_xi(log_xi) -> np.ndarray:

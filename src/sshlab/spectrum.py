@@ -2,26 +2,23 @@
 
 Self-contained kernels, no external linear-algebra backends.  One batched
 Sturm-bisection kernel, `_bisect_levels`, gives any levels of a stack of
-symmetric tridiagonal chains: all of one chain (`eigvals_sturm`), the
-four central ones of open chains (`midgap_levels`) or the two a gap needs
-(`chain_gaps`), each in 48 halvings, with one IEEE Sturm counter on rows
-scaled by a power of two (`_row_scale`, shared by every kernel on coupling
-rows); non-finite couplings raise ValueError.  A batched shift-and-invert
-kernel gives the open-chain midgap pair, and Householder reduction takes
-dense symmetric matrices to tridiagonal form.
+tridiagonal chains, each on adjacent doubles after 64 halvings on their
+ordinals, with one IEEE Sturm counter on rows scaled by a power of two
+(`_row_scale`, shared by every kernel on coupling rows); non-finite
+couplings raise ValueError.  A zero-diagonal chain is chiral, its levels
+exactly +/-sigma, so `_chiral_levels` bisects only levels at or above N/2
+and mirrors the rest, and its count has the couplings' relative accuracy
+(Demmel & Kahan 1990): open-chain gaps do too, however small.  A batched
+shift-and-invert kernel gives the open-chain midgap pair.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
-its levels are the singular values +/-sigma of the n x n block Q.  Rings
-reach their gap through a batched Householder bidiagonalization of Q that
-updates only the window where fill-in lives; its Golub-Kahan tridiagonal
-is a zero-diagonal open chain with the same levels, whose central pair
-is bisected.  `chain_gaps` takes the gaps of a block of open chains or even
-rings given as coupling arrays; `chain_gap(m)` is its one-row call for a
-single matrix, and the only route to the whole spectrum for the chains it
-rejects (under 4 sites, odd rings).  `gap_resolution` is the smallest gap
-they resolve.  An open chain is bipartite too, with a lower-bidiagonal
-block B, and its midgap pair (a, +/-b)/sqrt(2) comes from B's smallest
-singular pair (a, b).
+its levels are the singular values +/-sigma of the n x n block Q.  A
+batched Householder bidiagonalization of Q, which updates only the window
+where fill-in lives, gives its Golub-Kahan chain, a zero-diagonal open
+chain with the ring's levels up to about eps*||Q|| (`gap_resolution`).
+`chain_gaps` takes the gaps of a block of open chains or even rings;
+`chain_gap(m)` is its one-row call, and the whole spectrum (Householder
+tridiagonalization for dense matrices) for the chains it rejects.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ _EPS = np.finfo(float).eps
 # rings per `_golub_kahan_chains` call in `chain_gaps`; rows are independent,
 # so the chunk bounds the buffers without changing any result
 _RING_CHUNK = 8
-_HALVINGS = 48  # bisection steps per level; see `_bisect_levels`
 
 
 class ConvergenceError(RuntimeError):
@@ -136,12 +132,11 @@ def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _golub_kahan_chains(u: np.ndarray, w: np.ndarray, corner: np.ndarray) -> np.ndarray:
     """Couplings [d0, e0, d1, ..., d_{n-1}] of even rings' Golub-Kahan chains, one per row.
 
-    Ring b has the n intra-dimer bonds u[b], the n-1 inter-dimer bonds w[b]
-    and the corner bond corner[b].  Its sublattice block Q (rows A sites)
-    is lower bidiagonal, Q[i, i] = u_i and Q[i+1, i] = w_i, plus
-    Q[0, n-1] = corner; bidiag(d, e) is Q's Golub-Kahan form up to signs,
-    so the zero-diagonal open chain with these couplings has the ring's
-    levels.
+    Ring b has intra-dimer bonds u[b], inter-dimer bonds w[b] and corner
+    bond corner[b]: its sublattice block Q (rows A sites) has Q[i, i] = u_i,
+    Q[i+1, i] = w_i and Q[0, n-1] = corner.  bidiag(d, e) is Q's Golub-Kahan
+    form up to signs, so the zero-diagonal chain (d, e) has the ring's
+    levels, up to the reduction's rounding of about eps*||Q||.
 
     Step k reflects column k from the left and row k from the right.  Until
     the middle, the only entries that are neither finished nor untouched
@@ -275,64 +270,78 @@ def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues of tridiag(d, e), sorted: one `_bisect_levels` row, every level."""
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     _finite("d and e", d, e)
-    if len(d) == 1:
-        return d.copy()
-    return _bisect_levels(e[None, :], np.arange(len(d)), d[None, :])[0]
+    return d.copy() if len(d) == 1 else _bisect_levels(e[None], np.arange(len(d)), d[None])[0]
 
 
 def midgap_levels(offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues N/2-2 .. N/2+1 of zero-diagonal open chains, one per row.
 
-    `offdiag` holds the N-1 couplings of each chain (N >= 4).  Every level
-    takes the same 48 halvings in `_bisect_levels`, so each value is
-    bit-identical to the same entry of `eigvals_sturm` on that chain.
+    `offdiag` holds the N-1 couplings of each chain (N >= 4).  Levels N/2
+    and N/2+1 are bisected and mirrored (`_chiral_levels`; odd N takes 3),
+    bit-identical to the same entries of `eigenvalues_tridiagonal`.
     """
     e = np.atleast_2d(np.asarray(offdiag, dtype=float))
     if e.shape[1] < 3:
         raise ValueError("chains need at least 4 sites")
     _finite("couplings", e)
     half = (e.shape[1] + 1) // 2
-    return _bisect_levels(e, np.arange(half - 2, half + 2))
+    return _chiral_levels(e, np.arange(half - 2, half + 2))
+
+
+def _chiral_levels(e: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues `which` of zero-diagonal chains tridiag(0, e[r]), one chain per row r.
+
+    The spectrum is exactly +/-sigma: levels at or above N/2 are bisected,
+    and a level k below is 0.0 - x of level N-1-k.
+    """
+    upper = np.maximum(which, e.shape[1] - which)
+    own, back = np.unique(upper, return_inverse=True)
+    levels = _bisect_levels(e, own)[:, back]
+    return np.where(which < upper, 0.0 - levels, levels)
+
+
+def _flip(i: np.ndarray) -> np.ndarray:
+    """int64 bits of doubles to ordinals that order as the doubles do (-0.0 at -1), and back."""
+    return i ^ ((i >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
 
 
 def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     """Sorted eigenvalues `which` (0-based) of tridiag(d[r], e[r]), one chain per row r.
 
     d is None for zero diagonals.  Each row is divided by its `_row_scale`
-    and its levels are multiplied back, so no squared coupling over- or
-    underflows for scale alone, and a row times 2^k gives 2^k times the
-    same bits.  A square that is still zero is floored at the smallest
-    subnormal, which moves a level by about 1e-162 of the scaled bound at
-    most; with no zero square the IEEE negative-pivot count of
-    `_sturm_count` is exact (Demmel, Dhillon & Ren, ETNA 3, 1995), so every
-    row takes that one counter.  Every level halves the Gershgorin interval
-    [-bound, bound], bound = max_i |d_i| + |e_{i-1}| + |e_i|, at
-    0.5*(lo + hi) 48 times, then is its interval's midpoint: a scaled row's
-    bound is 0 (levels 0.5*(-0.0 + 0.0) = +0.0) or in [1/2, 3), where the
-    intervals, 2*bound*2^-k up to rounding under 2^-51*bound, first fall
-    under 1e-14*bound at k = 48 for every level.  One Sturm pass counts
-    every midpoint of a bisection subtree, then the path is walked level by
-    level, so the passes over the sites drop by the subtree depth, which
-    keeps a pass near 1000 shifts (up to 6 for few rows x targets).  Each
-    row's arithmetic is independent of the other rows and of the depth.
+    and its levels multiplied back, so a row times 2^k gives 2^k times the
+    same bits.  A square still zero is floored at the smallest subnormal (a
+    bond under about 2^-537 of the row's largest counts as that large), so
+    the IEEE count of `_sturm_count` is exact (Demmel, Dhillon & Ren, ETNA
+    3, 1995); an all-zero row gives +0.0.  Each level is halved 64 times on
+    the ordinals of the doubles (`_flip`) from the whole finite range, and
+    level k is then lo, the largest double whose count is at most k.  A
+    chiral chain's count has its couplings' relative accuracy while the
+    pivots, about x and e^2/x, stay normal, so its levels do down to about
+    2^-1022 of its scale.  One Sturm pass counts every midpoint of a
+    bisection subtree (up to 6 levels deep, near 1000 shifts), then the path
+    is walked level by level.  Each row is independent of the other rows
+    and of the depth.
     """
     scale = _row_scale(e) if d is None else _row_scale(e, d)
     e = e / scale
-    radius = gershgorin_radii(e)
+    live = (e != 0.0).any(axis=1)
     if d is not None:
         d = d / scale + 0.0  # -0.0 + 0.0 is +0.0: a signed zero would flip pivot signs
-        radius = np.abs(d) + radius
+        live |= (d != 0.0).any(axis=1)
     targets = np.asarray(which) + 1
     if not len(e):  # the subtree reshapes cannot size an empty block
         return np.empty((0, len(targets)))
-    hi = np.repeat(radius.max(axis=1, keepdims=True), len(targets), axis=1)
-    lo = -hi
+    # -max and +max are 2^64 - 2^53 ordinals apart: 64 halvings take them to adjacent ones
+    ends = _flip(np.array([-np.finfo(float).max, np.finfo(float).max]).view(np.int64))
+    lo, hi = (np.full((len(e), len(targets)), end) for end in ends)
     e2 = np.maximum(e * e, np.nextafter(0.0, 1.0))
     depth = max(1, min(6, round(math.log2(1024 / max(1, len(e) * len(targets)) + 1))))
-    for start in range(0, _HALVINGS, depth):
-        levels = min(depth, _HALVINGS - start)
+    for start in range(0, 64, depth):
+        levels = min(depth, 64 - start)
         mids = _subtree_midpoints(lo, hi, levels)
-        counts = _sturm_count(e2, mids.reshape(len(e), -1), d).reshape(mids.shape)
+        shifts = _flip(mids).view(float).reshape(len(e), -1)
+        counts = _sturm_count(e2, shifts, d).reshape(mids.shape)
         node = np.zeros(lo.shape, dtype=np.intp)
         for level in range(levels):
             pos = (node + (1 << level) - 1)[..., None]
@@ -341,20 +350,19 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
             hi = np.where(below, mid, hi)
             lo = np.where(below, lo, mid)
             node = 2 * node + ~below
-    return 0.5 * (lo + hi) * scale
+    return np.where(live[:, None], _flip(lo).view(float) * scale, 0.0)
 
 
 def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
-    """Bisection midpoints of every node of a subtree, in level order.
+    """Bisection midpoints of every node of a subtree of ordinal intervals, in level order.
 
     Node j of level l splits into nodes 2j (lower half) and 2j+1 of level
-    l+1; each midpoint is 0.5*(lo+hi) of its own interval, as bisection
-    computes it.
+    l+1; each midpoint is its interval's floored mean, which cannot overflow.
     """
     lo, hi = lo[..., None], hi[..., None]
     out = []
     for _ in range(levels):
-        mid = 0.5 * (lo + hi)
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
         out.append(mid)
         lo = np.stack((lo, mid), axis=-1).reshape(*mid.shape[:-1], -1)
         hi = np.stack((mid, hi), axis=-1).reshape(*mid.shape[:-1], -1)
@@ -496,7 +504,9 @@ def eigenvalues_tridiagonal(m: ChainMatrix) -> SpectralResult:
     """Full spectrum of an open (tridiagonal) chain matrix."""
     if not m.is_tridiagonal:
         raise ValueError("matrix has a periodic corner entry; use eigenvalues_dense")
-    return SpectralResult.from_eigenvalues(eigvals_sturm(np.zeros(m.size), m.offdiag))
+    _finite("couplings", m.offdiag)
+    levels = _chiral_levels(m.offdiag[None, :], np.arange(m.size))[0] if m.size > 1 else np.zeros(1)
+    return SpectralResult.from_eigenvalues(levels)
 
 
 def eigenvalues_dense(m: ChainMatrix | np.ndarray) -> SpectralResult:
@@ -522,20 +532,14 @@ def chain_gap(m: ChainMatrix) -> float:
 def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
     """Spectral gaps 2*min|E| of a block of chains of N >= 4 sites, one per row.
 
-    `offdiag` (B, N-1) holds each chain's nearest-neighbour bonds.  With
-    `corner` None the chains are open; otherwise they are even rings closed
-    by `corner`, a scalar or one value per row.  One `_bisect_levels` call
-    bisects levels N/2-1 and N/2 of every row (and N/2+1 for odd N): an
-    open chain's own, or a ring's Golub-Kahan chain, reduced _RING_CHUNK
-    rings per call to bound the buffers.  The levels are those of
-    `midgap_levels` that can be the smallest in magnitude (the lower ones
-    end at or below 0, the upper at or above), so the gap is 2*min|E| of
-    its four, and of the full spectrum, bit for bit.  Level N/2 alone would
-    not do: a zero-diagonal chain's Sturm pivots at -x are the negatives of
-    those at x, except that one cancelling to zero is +0.0 at both, so the
-    bisection of level N/2 need not mirror that of N/2-1.  Rows are
-    independent, so each gap is bit-identical to `chain_gap` of that chain
-    alone.
+    `offdiag` (B, N-1) holds each chain's bonds.  With `corner` None the
+    chains are open; else they are even rings closed by `corner` (scalar or
+    per row), taken to their Golub-Kahan chains _RING_CHUNK rings at a time.
+    One `_bisect_levels` call bisects level N//2, the smallest |E| of a
+    zero-diagonal chain, so each gap is bit-identical to that of
+    `midgap_levels`, `eigenvalues_tridiagonal` and `chain_gap` of the chain
+    alone.  Open-chain gaps have the couplings' relative accuracy; ring gaps
+    are good to `gap_resolution`.
     """
     couplings = np.array(offdiag, dtype=float, ndmin=2)
     size = couplings.shape[1] + 1
@@ -551,18 +555,12 @@ def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
             couplings[rows] = _golub_kahan_chains(
                 couplings[rows, 0::2], couplings[rows, 1::2], corner[rows]
             )
-    half = size // 2
-    levels = _bisect_levels(couplings, np.arange(half - 1, half + 1 + size % 2))
-    return 2.0 * np.min(np.abs(levels), axis=1)
+    return 2.0 * _bisect_levels(couplings, [size // 2])[:, 0]
 
 
 def gap_resolution(m: ChainMatrix) -> float:
-    """The smallest gap `chain_gap` resolves: 8*max(N, 8)*eps*||H||.
-
-    ||H|| is taken as the Gershgorin bound.  Bisection's 48 halvings leave
-    intervals of 7.1e-15 of that bound, 32*eps*||H||, which no size goes
-    below; a gap at or under this resolution cannot be told from zero.
-    """
+    """The smallest ring gap `chain_gap` resolves, 8*max(N, 8)*eps*||H|| (||H|| Gershgorin's):
+    a ring's reduction (Golub-Kahan or Householder) moves its levels by some eps*||Q||."""
     return 8.0 * max(m.size, 8) * _EPS * m.norm_bound()
 
 

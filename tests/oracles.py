@@ -11,7 +11,6 @@ import numpy as np
 from sshlab.born import BornParams
 from sshlab.ensemble import FlatDistribution
 from sshlab.model import FluxMatrix
-from sshlab.spectrum import ConvergenceError
 
 _MASK64 = (1 << 64) - 1
 
@@ -224,42 +223,87 @@ def sturm_count(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return count
 
 
-def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix by bisection.
+_SIGN_BIT = np.int64(-(2**63))
 
-    Every eigenvalue is bisected independently (vectorized across the
-    spectrum) down to ~1e-14 of the Gershgorin bound, which makes the
-    result deterministic and naturally sorted.  A zero square is floored
-    at the smallest subnormal, as in `spectrum._bisect_levels`; the rows
-    are not scaled, so the two agree bit for bit unless a square
-    overflows or is subnormal.
+
+def ordinals(x: np.ndarray) -> np.ndarray:
+    """The rank of each double among all doubles: -0.0 is -1, +0.0 is 0, one step per double."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return np.where(bits < 0, -1 - (bits ^ _SIGN_BIT), bits)
+
+
+def doubles(ranks: np.ndarray) -> np.ndarray:
+    """The doubles of `ordinals` ranks."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    return np.where(ranks < 0, (-1 - ranks) ^ _SIGN_BIT, ranks).view(float)
+
+
+def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix by bisection on the doubles' ranks.
+
+    Every level starts from the whole finite range [-max, max] and is
+    halved 64 times at the floor of the mean rank, one halving per Sturm
+    pass, vectorized across the spectrum; level k is then the largest
+    double with at most k eigenvalues below it.  A zero square is floored
+    at the smallest subnormal, and an all-zero matrix gives +0.0, as in
+    `spectrum._bisect_levels`; the rows are not scaled, so the two agree bit
+    for bit on rows whose largest entry is in [1/2, 1), and elsewhere unless
+    a floored or overflowing square, or a pivot out of the normal range,
+    decides a level.
     """
     d = np.asarray(d, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0, as in the kernel
     e = np.asarray(e, dtype=float)
     n = len(d)
-    if n == 1:
+    if n == 1 or not (d.any() or e.any()):
         return d.copy()
     e2 = np.maximum(e * e, np.nextafter(0.0, 1.0))
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    bound = float(np.max(np.abs(d) + radius))
-    if bound == 0.0:
-        return np.zeros(n)
-    lo = np.full(n, -bound)
-    hi = np.full(n, bound)
+    big = np.finfo(float).max
+    lo, hi = ordinals(np.full(n, -big)), ordinals(np.full(n, big))
     targets = np.arange(1, n + 1)
-    tol = 1e-14 * bound
-    for _ in range(128):
-        mid = 0.5 * (lo + hi)
-        below = sturm_count(d, e2, mid) >= targets
+    for _ in range(64):
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        below = sturm_count(d, e2, doubles(mid)) >= targets
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
-        if float(np.max(hi - lo)) <= tol:
-            break
-    else:
-        raise ConvergenceError("bisection failed to localize the spectrum")
-    return 0.5 * (lo + hi)
+    return doubles(lo)
+
+
+def sigma_min_bidiagonal(u: np.ndarray, w: np.ndarray, dps: int = 64) -> float:
+    """Smallest singular value of the lower bidiagonal B, B[i, i] = u_i and B[i+1, i] = w_i.
+
+    Inverse iteration on B^T B in `dps`-digit mpmath.  Each step takes
+    z = B^-T y and then y <- B^-1 z, normalized, by two O(n) bidiagonal
+    substitutions; those are componentwise backward stable, so no
+    cancellation limits the accuracy however small sigma is.  With |y| = 1,
+    |z|^2 = y^T (B^T B)^-1 y, so 1/|z| is the estimate; it stops once a step
+    moves it by under 1e-24 of itself.  The start is numpy's eigh vector of
+    the smallest eigenvalue of B^T B in doubles.  No u_i may be zero.
+    """
+    import mpmath
+
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    n = len(u)
+    b = np.diag(u) + np.diag(w, -1)
+    start = np.linalg.eigh(b.T @ b)[1][:, 0]
+    with mpmath.workdps(dps):
+        uu, ww = [mpmath.mpf(x) for x in u], [mpmath.mpf(x) for x in w]
+        y = [mpmath.mpf(x) for x in start]
+        norm = mpmath.sqrt(mpmath.fsum(t * t for t in y))
+        y = [t / norm for t in y]
+        z, x, sigma = [None] * n, [None] * n, None
+        for _ in range(100):
+            z[n - 1] = y[n - 1] / uu[n - 1]
+            for i in range(n - 2, -1, -1):
+                z[i] = (y[i] - ww[i] * z[i + 1]) / uu[i]
+            x[0] = z[0] / uu[0]
+            for i in range(1, n):
+                x[i] = (z[i] - ww[i - 1] * x[i - 1]) / uu[i]
+            prev, sigma = sigma, 1 / mpmath.sqrt(mpmath.fsum(t * t for t in z))
+            if prev is not None and abs(sigma - prev) <= mpmath.mpf("1e-24") * sigma:
+                return float(sigma)
+            norm = mpmath.sqrt(mpmath.fsum(t * t for t in x))
+            y = [t / norm for t in x]
+    raise RuntimeError("inverse iteration did not settle in 100 steps")
 
 
 # ----------------------------------------------------------------------

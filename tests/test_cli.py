@@ -295,6 +295,19 @@ class TestRunners:
         gap = spectrum.chain_gap(model.build_chain(params, real))
         assert rows[0][2] == "%.17g" % math.log(gap / 2.0)
 
+    def test_phase_diagram_open_chains_keep_deep_gaps(self, tmp_path):
+        # topological 300-dimer chains: gaps near 1e-53 and below are written
+        # as their logs, the clean one's as n*log(u/w) + log((w^2 - u^2)/w)
+        cfg = tiny(
+            "phase-diagram", tmp_path, n=300, bc="open", gamma_grid=(0.0, 0.3), w_grid=(1.2, 1.5)
+        )
+        lines = data_section(run_experiment(cfg)).splitlines()
+        rows = [[float(x) for x in r.split(",")] for r in lines]
+        assert all(math.isfinite(r[2]) and r[3] == 1.0 for r in rows)
+        assert rows[1][2] < -120.0
+        clean = 300 * math.log(1.0 / 1.5) + math.log((1.5**2 - 1.0) / 1.5)
+        assert rows[1][2] == pytest.approx(clean, abs=1e-9)
+
     def test_sidecar_records_workers_and_pool(self, tmp_path):
         import os
         from dataclasses import replace

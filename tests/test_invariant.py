@@ -11,6 +11,7 @@ from sshlab.invariant import (
     CriticalRealizationError,
     UnresolvedWindingError,
     WindingResult,
+    index_from_log_xi,
     log_ratio_sums,
     winding_closed_form,
     winding_integral,
@@ -137,6 +138,17 @@ class TestLogRatioSums:
             result = log_ratio_sums(c, -1.0)
         assert result[0] == -math.inf and np.isfinite(result[1])
         assert c[0, 1] == 0.0
+
+    def test_zero_coupling_beside_an_overflowing_ratio_is_minus_inf(self):
+        # 1e10 / 1e-300 overflows: the row is still cut, and gets nu = 1 with the warning
+        c = np.array([[0.0, 1e10, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = log_ratio_sums(c, 1e-300)
+            assert log_ratio_sums(c[:, 1:], 1e-300)[0] == math.inf
+        assert result[0] == -math.inf
+        with pytest.warns(UserWarning, match="zero coupling"):
+            assert index_from_log_xi(result)[0] == 1.0
 
 
 class TestMethodEquivalence:

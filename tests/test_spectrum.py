@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eigvals_ql, householder_bidiagonalize, jacobi_eigenvalues
+from oracles import eigvals_ql, householder_bidiagonalize, jacobi_eigenvalues, sigma_min_bidiagonal
 from oracles import eigvals_sturm as oracle_eigvals
 from sshlab import spectrum
 from sshlab.ensemble import FlatDistribution, sample_realization
@@ -36,10 +37,56 @@ from sshlab.spectrum import (
 EPS = np.finfo(float).eps
 
 
+@functools.lru_cache(maxsize=None)
+def deep_chain():
+    """Bonds of a clean chain at w/u = 2 over 2000 dimers, unit-scaled (divided by 4), and
+    the oracle's spectrum of them; two tests share the slow oracle call."""
+    e = np.full(3999, 0.25)
+    e[1::2] = 0.5
+    return e, oracle_eigvals(np.zeros(4000), e)
+
+
+def chiral_entries(e, which, ev=None):
+    """Levels `which` of one zero-diagonal chain as the kernels give them.
+
+    A level at or above the middle is the oracle's bisected entry, and a
+    level k below it the exact mirror 0.0 - x of entry N-1-k.  (The
+    oracle's own lower entries round the other way: each is the largest
+    double under its level.)  `ev` is the oracle's spectrum of e, if at hand.
+    """
+    ev = oracle_eigvals(np.zeros(len(e) + 1), e) if ev is None else ev
+    top = len(e)  # N - 1
+    return np.array([ev[k] if 2 * k >= top else 0.0 - ev[top - k] for k in which])
+
+
 def central_entries(e):
-    """Entries N/2-2 .. N/2+1 of the oracle's full bisected spectrum of one open chain."""
+    """`chiral_entries` N/2-2 .. N/2+1 of one open chain."""
     half = (len(e) + 1) // 2
-    return oracle_eigvals(np.zeros(len(e) + 1), e)[half - 2 : half + 2]
+    return chiral_entries(e, range(half - 2, half + 2))
+
+
+def unit_scaled(*parts):
+    """`parts` divided by the power of two that puts their largest |entry| in [1/2, 1).
+
+    The kernel scales each row so and the oracle does not; on rows already
+    so scaled the two bisect the same numbers.
+    """
+    big = max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
+    return [np.ldexp(np.asarray(p, dtype=float), -math.frexp(big)[1]) for p in parts]
+
+
+def assert_oracle_bits(d, e):
+    """`eigvals_sturm` gives the oracle's bits on the unit-scaled chain, 2^k times them on the chain.
+
+    The kernel floors a zero square at the smallest subnormal of the scaled
+    row and the unscaled oracle at that of the row itself, so on a chain
+    with a zero bond the two see the same matrix only once it is scaled.
+    """
+    k = math.frexp(max(float(np.max(np.abs(d))), float(np.max(np.abs(e)))))[1]
+    scaled = unit_scaled(d, e)
+    levels = eigvals_sturm(*scaled)
+    assert levels.tobytes() == oracle_eigvals(*scaled).tobytes()
+    assert eigvals_sturm(d, e).tobytes() == np.ldexp(levels, k).tobytes()
 
 
 def ring(couplings, w):
@@ -63,10 +110,10 @@ def sublattice_block(m):
 
 
 def assert_gap_matches_eigvalsh(m):
-    """chain_gap against numpy's dense eigvalsh, within 8*N*eps*||H||.
+    """chain_gap against numpy's dense eigvalsh, within 8*N*eps*||H|| (N at least 8).
 
-    N is taken as at least 8: bisection's 48 halvings leave intervals of
-    7.1e-15 of the Gershgorin bound, 32*eps*||H||, which no size goes below.
+    That is `gap_resolution`: a ring's reduction moves its levels by a
+    modest multiple of eps*||Q||, and eigvalsh has errors of that order too.
     """
     ev = np.linalg.eigvalsh(m.to_dense())
     tol = 8.0 * max(m.size, 8) * EPS * float(np.max(np.abs(ev)))
@@ -177,7 +224,7 @@ class TestTridiagonal:
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * bound)
         # -0.0 counts as +0.0, in the kernel and in the oracle alike
         assert got.tobytes() == eigvals_sturm(d + 0.0, e).tobytes()
-        assert got.tobytes() == oracle_eigvals(d, e).tobytes()
+        assert_oracle_bits(d, e)
 
     def test_zero_bond_with_a_diagonal_warns_no_overflow(self):
         # a floored zero square over a pivot of order 1, then a bond square over that pivot
@@ -212,13 +259,16 @@ class TestMidgapLevels:
     def test_two_dimers_give_the_whole_spectrum(self):
         m = build_chain(ChainParams(n=2, u=1.0, w=0.6), Realization(couplings=[0.9, 1.3]))
         got = midgap_levels(m.offdiag)[0]
-        np.testing.assert_array_equal(got, oracle_eigvals(np.zeros(4), m.offdiag))
+        np.testing.assert_array_equal(got, chiral_entries(m.offdiag, range(4)))
+        assert got.tobytes() == eigenvalues_tridiagonal(m).eigenvalues.tobytes()
 
     def test_zero_and_underflowing_squares(self):
+        # the rows are unit-scaled, so the kernel's floored squares are the oracle's
         rng = np.random.default_rng(23)
         e = rng.uniform(0.3, 1.7, (3, 19))
         e[1, 8] = 0.0  # row 1 splits into two decoupled chains
         e[2, 0] = 1e-170  # squares to zero
+        e = np.array([unit_scaled(row)[0] for row in e])
         got = midgap_levels(e)
         for row, levels in zip(e, got):
             np.testing.assert_array_equal(levels, central_entries(row))
@@ -239,12 +289,17 @@ class TestMidgapLevels:
             assert levels.tobytes() == normal_range.tobytes()
 
     def test_deep_topological_chain_underflowing_gap(self):
-        # w/u = 2 over 2000 dimers: E_min ~ 2**-2000 underflows to zero
+        # w/u = 2 over 2000 dimers: E_min ~ 2**-2000 underflows, and the
+        # pivots at subnormal shifts overflow, so the level is only known to
+        # be subnormal; the unit-scaled row meets the oracle's pivots
         n = 2000
         m = build_chain(ChainParams(n=n, u=1.0, w=2.0), Realization(couplings=np.full(n, 1.0)))
         got = midgap_levels(m.offdiag)[0]
         assert np.all(np.isfinite(got))
-        np.testing.assert_array_equal(got, central_entries(m.offdiag))
+        scaled, levels = deep_chain()
+        assert unit_scaled(m.offdiag)[0].tobytes() == scaled.tobytes()
+        expected = chiral_entries(scaled, range(1998, 2002), levels)
+        np.testing.assert_array_equal(np.ldexp(got, -2), expected)
         tol = 1e-14 * m.norm_bound()
         assert abs(got[1]) <= tol and abs(got[2]) <= tol
         assert got[3] == pytest.approx(1.0, abs=1e-5)  # band edge |w - u|
@@ -258,7 +313,7 @@ class TestMidgapLevels:
         got = midgap_levels(m.offdiag)[0]
         np.testing.assert_array_equal(got, central_entries(m.offdiag))
         assert abs(got[3]) < 1e-3
-        full = np.abs(oracle_eigvals(np.zeros(m.size), m.offdiag))
+        full = np.abs(chiral_entries(m.offdiag, range(m.size)))
         mine = SpectralResult.from_eigenvalues(got)
         assert mine.gap == 2.0 * full.min()
         # the three smallest |E| that midgap_pair's isolation check reads
@@ -435,16 +490,17 @@ class TestRingGap:
         e = rng.uniform(0.3, 1.7, (2, 19))
         e[0, 8] = 0.0
         e[1, 0] = 1e-170
-        chains += list(e)
+        chains += [unit_scaled(row)[0] for row in e]  # the floored squares of the oracle
         walls = np.full(40, 0.5)
         walls[15:25] = 2.0
         chains.append(build_chain(ChainParams(n=40, u=0.5, w=1.0), Realization(walls)).offdiag)
-        deep = ChainParams(n=2000, u=1.0, w=2.0)
-        chains.append(build_chain(deep, Realization(np.full(2000, 1.0))).offdiag)
         for offdiag in chains:
             m = ChainMatrix(offdiag=offdiag)
             full = SpectralResult.from_eigenvalues(oracle_eigvals(np.zeros(m.size), offdiag))
             assert chain_gap(m) == full.gap
+        # a subnormal gap, as the oracle's on the unit-scaled row
+        offdiag, levels = deep_chain()
+        assert chain_gap(ChainMatrix(offdiag=offdiag)) == SpectralResult.from_eigenvalues(levels).gap
 
 
 class TestGolubKahanChains:
@@ -542,21 +598,7 @@ class TestGolubKahanChains:
 
 
 class TestCentralPairGap:
-    """`chain_gaps` bisects levels N/2-1 and N/2, and gets 2*min|E| of the four central ones."""
-
-    # a pivot cancelling to +0.0 at x and -x alike parts the two bisections
-    # and leaves level N/2-1 the nearer to zero, with or without a zero bond
-    MIRROR_BROKEN = (
-        ("-0x1.0ee60f52532f0p+0", "-0x1.3097198abcbe8p-2", "-0x1.85a600d670ebcp-1"),
-        ("0x1.8ce80ff98d30cp+0", "0x0.0p+0", "-0x1.44eb0aa384feep+0"),
-    )
-
-    def test_mirror_broken_chains(self):
-        for row in self.MIRROR_BROKEN:
-            e = np.array([[float.fromhex(x) for x in row]])
-            levels = np.abs(midgap_levels(e)[0])
-            assert levels[1] < levels[2]
-            assert chain_gaps(e)[0] == 2.0 * levels[1]
+    """`chain_gaps` bisects level N/2 alone, and gets 2*min|E| of the four central ones."""
 
     def test_bit_identical_to_four_central_levels(self):
         # signed bonds, then exact-zero, 1e-170 (squares underflow to the
@@ -586,6 +628,60 @@ class TestCentralPairGap:
         assert checked >= 1000
 
 
+def accuracy_chains():
+    """(u, w) bonds of open chains of n = 2 .. 1000 dimers, for `TestRelativeAccuracy`.
+
+    Clean and disordered chains at w/u from 0.95 to 1.5 (sigma down to
+    1e-189), near-critical chains with w at the geometric mean of |u_i|,
+    chains cut by a zero inter-cell bond, and two 4-site chains on which
+    the Sturm pivots at x and -x are not exact negatives.
+    """
+    rng = np.random.default_rng(70)
+    chains = []
+    for n in (2, 3, 5, 8, 13, 21, 34, 55, 100, 200, 400, 1000):
+        ratios, gammas = (1.0, 1.5), (0.0, 0.3)
+        if n < 1000:
+            ratios, gammas = (0.95, 1.0, 1.05, 1.2, 1.5), (0.0, 0.3, 0.9)
+        for ratio in ratios:
+            for gamma in gammas:
+                half = math.sqrt(3.0) * gamma
+                chains.append((rng.uniform(1.0 - half, 1.0 + half, n), np.full(n - 1, ratio)))
+        if n <= 400:
+            u = rng.uniform(1.0 - math.sqrt(3.0) * 0.5, 1.0 + math.sqrt(3.0) * 0.5, n)
+            critical = math.exp(float(np.mean(np.log(np.abs(u)))))
+            chains += [(u, np.full(n - 1, critical * f)) for f in (1.0 - 1e-3, 1.0 + 1e-3)]
+        if 5 <= n <= 400:
+            w = np.full(n - 1, 1.2)
+            w[rng.integers(n - 1)] = 0.0
+            chains.append((rng.uniform(0.5, 1.5, n), w))
+    for row in (
+        ("-0x1.0ee60f52532f0p+0", "-0x1.3097198abcbe8p-2", "-0x1.85a600d670ebcp-1"),
+        ("0x1.8ce80ff98d30cp+0", "0x0.0p+0", "-0x1.44eb0aa384feep+0"),
+    ):
+        e = np.array([float.fromhex(x) for x in row])
+        chains.append((e[0::2], e[1::2]))
+    return chains
+
+
+class TestRelativeAccuracy:
+    """Open-chain gaps are 2*sigma_min of the sublattice block B to the couplings' relative accuracy."""
+
+    def test_gaps_against_mpmath_sigma_min(self):
+        chains = accuracy_chains()
+        assert len(chains) >= 200
+        sigmas = []
+        for n in sorted({len(u) for u, _ in chains}):
+            block = [(u, w) for u, w in chains if len(u) == n]
+            e = np.empty((len(block), 2 * n - 1))
+            for row, (u, w) in zip(e, block):
+                row[0::2], row[1::2] = u, w
+            for (u, w), gap in zip(block, chain_gaps(e)):
+                sigma = sigma_min_bidiagonal(u, w)
+                assert abs(0.5 * gap - sigma) <= 1e-13 * sigma, (n, gap, sigma)
+                sigmas.append(sigma)
+        assert min(sigmas) < 1e-100
+
+
 def nonzero_or_zero(floats):
     """`floats` with magnitudes under 1e-100 drawn as 0.0, so no scaled square is subnormal."""
     return floats.map(lambda x: 0.0 if 0.0 < abs(x) < 1e-100 else x)
@@ -612,16 +708,6 @@ def open_chain_blocks(draw):
     rows, bonds = draw(st.integers(1, 5)), draw(st.integers(3, 13))
     row = st.lists(BONDS, min_size=bonds, max_size=bonds)
     return draw(st.lists(row, min_size=rows, max_size=rows))
-
-
-def unit_scaled(*parts):
-    """`parts` divided by the power of two that puts their largest |entry| in [1/2, 1).
-
-    The kernel scales each row so and the oracle does not; on rows already
-    so scaled the two bisect the same numbers.
-    """
-    big = max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
-    return [np.ldexp(np.asarray(p, dtype=float), -math.frexp(big)[1]) for p in parts]
 
 
 class TestLevelProperties:
