@@ -27,6 +27,7 @@ import os
 import pickle
 import signal
 import sys
+import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 
 from .invariant import index_from_log_xi, log_ratio_sums, log_xi_offset
 from .model import BoundaryCondition, ChainParams, Realization, chain_couplings
-from .spectrum import chain_gaps, midgap_levels, midgap_vectors
+from .spectrum import chain_gaps, midgap_vectors
 
 __all__ = [
     "FlatDistribution",
@@ -133,8 +134,8 @@ class EnsembleEstimate:
     n_excluded: int = 0
 
 
-def _sample_block(points, r: int, n: int, rows: range) -> np.ndarray:
-    """The n couplings of the sweep rows `rows`, one row each.
+def _sample_block(points, r: int, n: int, rows: range, out=None) -> np.ndarray:
+    """The n couplings of the sweep rows `rows`, one row each (the leading rows of `out`, if given).
 
     Row k is realization k % r of point k // r, `points` holding
     (dist, master_seed) pairs.  Each row re-keys the process's Philox to
@@ -143,7 +144,7 @@ def _sample_block(points, r: int, n: int, rows: range) -> np.ndarray:
     support: row for row the draws of `dist.sample` from a
     Generator(Philox(key)) built for that key alone.
     """
-    block = np.empty((len(rows), n))
+    block = np.empty((len(rows), n)) if out is None else out[: len(rows)]
     for p in range(rows.start // r, (rows.stop - 1) // r + 1):
         dist, seed = points[p]
         start, stop = max(rows.start, p * r), min(rows.stop, p * r + r)
@@ -183,7 +184,8 @@ def _workers(threads: int) -> int:
 
 @contextmanager
 def sweep_log():
-    """Log the sweeps mapped inside: per sweep its quantity, block count and whether it forked.
+    """Log the sweeps mapped inside: per sweep its quantity, block count, whether it forked
+    and `seconds`, the caller's wall time for the map.
 
     Yields the log, a list of one dict per sweep; a sweep goes to the
     innermost open log only.
@@ -220,10 +222,13 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     total = len(points) * r
     blocks = [range(start, min(start + block, total)) for start in range(0, total, block)]
     workers = min(_workers(threads), len(blocks))
-    if _sweep_logs:
-        entry = {"quantity": quantity, "blocks": len(blocks), "pooled": workers > 1}
-        _sweep_logs[-1].append(entry)
+    start = time.perf_counter()
     results = _fork_map(worker, blocks, workers) if workers > 1 else [worker(b) for b in blocks]
+    if _sweep_logs:
+        seconds = time.perf_counter() - start
+        _sweep_logs[-1].append(
+            {"quantity": quantity, "blocks": len(blocks), "pooled": workers > 1, "seconds": seconds}
+        )
     return np.concatenate(results).reshape(len(points), r, *results[0].shape[1:])
 
 
@@ -327,18 +332,26 @@ def _mean_stderr(x: np.ndarray):
     return x.mean(axis=0), se
 
 
-def _log_ratio_block(params, points, r, rows):
+def _log_ratio_block(params, points, r, rows, buffer=None):
     """Row sums acc_i = sum_j log|c_ij/u| of a block; -inf at a zero coupling.
 
-    A NaN or infinite coupling raises ValueError; an infinite sum from
-    finite couplings (a ratio to a tiny u that overflows, or a zero) stands.
+    The couplings are sampled into `buffer` (at least len(rows) x n; one
+    per sweep call, so blocks allocate nothing that size) if given, and the
+    ratios overwrite them.  A NaN or infinite coupling raises ValueError;
+    an infinite sum from finite couplings (a ratio to a tiny u that
+    overflows, or a zero) stands.
     """
-    couplings = _sample_block(points, r, params.n, rows)
-    acc = log_ratio_sums(couplings, params.u)
-    infinite = ~np.isfinite(acc)
-    if infinite.any() and not np.isfinite(couplings[infinite]).all():
+    couplings = _sample_block(points, r, params.n, rows, buffer)
+    if not np.isfinite(couplings).all():
         raise ValueError("couplings must be finite")
-    return acc
+    return log_ratio_sums(couplings, params.u, out=couplings)
+
+
+def _index_sweep(quantity, params, points, r: int, threads: int) -> np.ndarray:
+    """Row sums of an index or eta sweep, in _INDEX_BLOCK-row blocks sharing one sample buffer."""
+    buffer = np.empty((min(_INDEX_BLOCK, len(points) * r), params.n))
+    worker = partial(_log_ratio_block, buffer=buffer)
+    return _map_sweep(quantity, worker, params, points, r, _INDEX_BLOCK, threads)
 
 
 def _profile_block(params, points, r, rows):
@@ -350,7 +363,7 @@ def _profile_block(params, points, r, rows):
     (two states).
     """
     offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows))
-    a, b = midgap_vectors(offdiag, midgap_levels(offdiag))
+    a, b = midgap_vectors(offdiag)
     per_dimer = (a / math.sqrt(2.0)) ** 2 + (b / math.sqrt(2.0)) ** 2
     return per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True))
 
@@ -390,7 +403,7 @@ def sweep_mean_nu(
     if r < 2:
         raise ValueError("need at least 2 realizations")
     offset = log_xi_offset(params)
-    acc = _map_sweep("mean_nu", _log_ratio_block, params, points, r, _INDEX_BLOCK, threads)
+    acc = _index_sweep("mean_nu", params, points, r, threads)
     estimates = []
     for (dist, seed), point_acc in zip(points, acc):
         nu = index_from_log_xi(offset + point_acc)
@@ -477,9 +490,7 @@ def estimate_eta_moments(
         raise ValueError("need at least 100 realizations for moment estimates")
     if params.u == 0.0:
         raise ValueError("u must be nonzero")
-    acc = _map_sweep(
-        "eta_moments", _log_ratio_block, params, [(dist, master_seed)], r, _INDEX_BLOCK, threads
-    )
+    acc = _index_sweep("eta_moments", params, [(dist, master_seed)], r, threads)
     etas = acc[0][acc[0] > -math.inf]
     k = len(etas)
     if k < 2:

@@ -63,14 +63,15 @@ def log_xi_offset(params: ChainParams) -> float:
     return params.n * math.log(abs(params.u / params.w))
 
 
-def log_ratio_sums(couplings: np.ndarray, u: float) -> np.ndarray:
+def log_ratio_sums(couplings: np.ndarray, u: float, out=None) -> np.ndarray:
     """sum_j log|c_j/u| per row (last axis), bit-identical to the row's own sum; -inf at a zero.
 
-    One temporary: the ratios, taken through abs and log in place.  A ratio
-    that overflows is +inf, silently; a zero still cuts its row to -inf.
+    One temporary: the ratios, taken through abs and log in place, in `out`
+    if given (`couplings` itself to reduce them in place).  A ratio that
+    overflows is +inf, silently; a zero still cuts its row to -inf.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = np.divide(couplings, u)
+        ratios = np.divide(couplings, u, out=out)
         np.abs(ratios, out=ratios)
         np.log(ratios, out=ratios)
         sums = ratios.sum(axis=-1)

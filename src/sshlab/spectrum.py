@@ -3,13 +3,15 @@
 Self-contained kernels, no external linear-algebra backends.  One batched
 Sturm-bisection kernel, `_bisect_levels`, gives any levels of a stack of
 tridiagonal chains, each on adjacent doubles after 64 halvings on their
-ordinals, with one IEEE Sturm counter on rows scaled by a power of two
+ordinals, with one IEEE Sturm counter (`_sturm_count`, one contiguous
+ufunc call per site and step) on rows scaled by a power of two
 (`_row_scale`, shared by every kernel on coupling rows); non-finite
 couplings raise ValueError.  A zero-diagonal chain is chiral, its levels
 exactly +/-sigma, so `_chiral_levels` bisects only levels at or above N/2
 and mirrors the rest, and its count has the couplings' relative accuracy
 (Demmel & Kahan 1990): open-chain gaps do too, however small.  A batched
-shift-and-invert kernel gives the open-chain midgap pair.
+shift-and-invert kernel gives the open-chain midgap pair, at the one level
+N/2 it bisects.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  A
@@ -292,11 +294,17 @@ def _chiral_levels(e: np.ndarray, which: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues `which` of zero-diagonal chains tridiag(0, e[r]), one chain per row r.
 
     The spectrum is exactly +/-sigma: levels at or above N/2 are bisected,
-    and a level k below is 0.0 - x of level N-1-k.
+    and a level k below is 0.0 - x of level N-1-k.  An even chain with a
+    zero bond e[r, 2j] has det = +/-prod e[r, 2j]^2 = 0, so its level N/2
+    is +0.0 (and its mirror 0.0).
     """
     upper = np.maximum(which, e.shape[1] - which)
     own, back = np.unique(upper, return_inverse=True)
-    levels = _bisect_levels(e, own)[:, back]
+    levels = _bisect_levels(e, own)
+    if e.shape[1] % 2:
+        cut = (e[:, 0::2] == 0.0).any(axis=1)
+        np.copyto(levels, 0.0, where=cut[:, None] & (own == e.shape[1] // 2 + 1))
+    levels = levels[:, back]
     return np.where(which < upper, 0.0 - levels, levels)
 
 
@@ -320,8 +328,10 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
     pivots, about x and e^2/x, stay normal, so its levels do down to about
     2^-1022 of its scale.  One Sturm pass counts every midpoint of a
     bisection subtree (up to 6 levels deep, near 1000 shifts), then the path
-    is walked level by level.  Each row is independent of the other rows
-    and of the depth.
+    is walked level by level.  A subtree is kept as the 2^depth + 1 bounds
+    of its leaves, in order, in one array per call, so node j of level l
+    splits at bound (2j + 1) * 2^(depth - l - 1) and the walk moves by
+    index.  Each row is independent of the other rows and of the depth.
     """
     scale = _row_scale(e) if d is None else _row_scale(e, d)
     e = e / scale
@@ -332,117 +342,141 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
     targets = np.asarray(which) + 1
     if not len(e):  # the subtree reshapes cannot size an empty block
         return np.empty((0, len(targets)))
-    # -max and +max are 2^64 - 2^53 ordinals apart: 64 halvings take them to adjacent ones
-    ends = _flip(np.array([-np.finfo(float).max, np.finfo(float).max]).view(np.int64))
-    lo, hi = (np.full((len(e), len(targets)), end) for end in ends)
-    e2 = np.maximum(e * e, np.nextafter(0.0, 1.0))
+    e2 = e * e
+    np.maximum(e2, np.nextafter(0.0, 1.0), out=e2)
     depth = max(1, min(6, round(math.log2(1024 / max(1, len(e) * len(targets)) + 1))))
+    # one subtree per (row, level), kept as the bounds of its leaves
+    tree = np.empty((len(e) * len(targets), (1 << depth) + 1), dtype=np.int64)
+    ids, goal = np.arange(len(tree)), np.tile(targets, len(e))
+    # -max and +max are 2^64 - 2^53 ordinals apart: 64 halvings take them to adjacent ones
+    lo, hi = _flip(np.array([-np.finfo(float).max, np.finfo(float).max]).view(np.int64))
+    work = _sturm_work(e2.shape[1], len(tree) << depth, d is not None)
     for start in range(0, 64, depth):
-        levels = min(depth, 64 - start)
-        mids = _subtree_midpoints(lo, hi, levels)
-        shifts = _flip(mids).view(float).reshape(len(e), -1)
-        counts = _sturm_count(e2, shifts, d).reshape(mids.shape)
-        node = np.zeros(lo.shape, dtype=np.intp)
-        for level in range(levels):
-            pos = (node + (1 << level) - 1)[..., None]
-            mid = np.take_along_axis(mids, pos, -1)[..., 0]
-            below = np.take_along_axis(counts, pos, -1)[..., 0] >= targets
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
-            node = 2 * node + ~below
-    return np.where(live[:, None], _flip(lo).view(float) * scale, 0.0)
+        span = 1 << min(depth, 64 - start)
+        bounds = tree[:, : span + 1]
+        bounds[:, 0], bounds[:, span] = lo, hi
+        step = span
+        while step > 1:  # each midpoint is its interval's floored mean, which cannot overflow
+            left, right = bounds[:, 0:span:step], bounds[:, step::step]
+            mid = bounds[:, step // 2 :: step]
+            np.add(left >> 1, right >> 1, out=mid)
+            mid += left & right & 1
+            step //= 2
+        shifts = _flip(bounds[:, 1:span]).view(float).reshape(len(e), -1)
+        counts = _sturm_count(e2, shifts, d, work).reshape(-1)
+        # walk down from the root; bound b of subtree i has its count at i*(span-1) + b-1
+        at = ids * (span - 1) + (span // 2 - 1)
+        below = counts[at] >= goal
+        step = span // 2
+        while step > 1:
+            step //= 2
+            at += np.where(below, -step, step)
+            below = counts[at] >= goal
+        leaf = at - ids * (span - 1) + 1 - below  # the leaf's lower bound
+        lo, hi = bounds[ids, leaf], bounds[ids, leaf + 1]
+    levels = _flip(lo).view(float).reshape(len(e), -1)
+    return np.where(live[:, None], levels * scale, 0.0)
 
 
-def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
-    """Bisection midpoints of every node of a subtree of ordinal intervals, in level order.
-
-    Node j of level l splits into nodes 2j (lower half) and 2j+1 of level
-    l+1; each midpoint is its interval's floored mean, which cannot overflow.
-    """
-    lo, hi = lo[..., None], hi[..., None]
-    out = []
-    for _ in range(levels):
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        out.append(mid)
-        lo = np.stack((lo, mid), axis=-1).reshape(*mid.shape[:-1], -1)
-        hi = np.stack((mid, hi), axis=-1).reshape(*mid.shape[:-1], -1)
-    return np.concatenate(out, axis=-1)
+def _sturm_work(sites: int, shifts: int, diagonal: bool) -> tuple:
+    """`_sturm_count` scratch for `shifts` shifts: pivot, bool and diagonal rows for 32 sites."""
+    rows = min(32, sites)
+    diag = np.empty(rows * shifts) if diagonal else None
+    return np.empty((rows + 1) * shifts), np.empty(rows * shifts, dtype=bool), diag
 
 
-def _sturm_count(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+def _sturm_count(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None, work=None) -> np.ndarray:
     """Eigenvalues of tridiag(d, e) below each shift: e2 (R, N-1), xs (R, S), d (R, N) or None.
 
     The negative-pivot count of the shifted LDL^T recurrence; zero and
     infinite pivots propagate through IEEE arithmetic while no e2 entry is
     zero, as `_bisect_levels` ensures.  The update is (d_i - e2/q) - x, or
     (0 - x) - e2/q for a zero diagonal, which equals (0 - e2/q) - x bit for
-    bit, signed zeros included.  Pivots are kept for 32 sites, their signs
-    counted in one call.  One chain's per-site operands are 0-d views, which
-    broadcast over the shifts at less cost per call than a column.
+    bit, signed zeros included.  Every step is one call on flat rows of R*S
+    pivots: the squares (and diagonal) of up to 32 sites at a time are
+    broadcast into contiguous rows of `work` (`_sturm_work`, allocated when
+    None), and the pivots overwrite them; one chain's operands are 0-d
+    views, which need no copy.  Each chunk's negative pivots are summed as
+    uint8 (at most 32) into the int64 count.
     """
+    rows, sites = e2.shape
+    x = xs.reshape(-1)
+    if work is None:
+        work = _sturm_work(sites, x.size, d is not None)
+    chunk = min(32, sites)
+    pivots = work[0][: (chunk + 1) * x.size].reshape(chunk + 1, x.size)
+    carry, negative = pivots[0], work[1][: chunk * x.size].reshape(chunk, x.size)
 
-    def per_site(a):
-        return [a[0, i, ...] for i in range(a.shape[1])] if len(a) == 1 else list(a.T[:, :, None])
+    def per_site(a, start, stop, out):
+        if rows == 1:
+            return [a[0, i, ...] for i in range(start, stop)]
+        np.copyto(out.reshape(stop - start, rows, -1), a[:, start:stop].T[:, :, None])
+        return out
 
-    sites = per_site(e2)
     if d is None:
-        q = negx = 0.0 - xs
+        q = negx = 0.0 - x
     else:
-        q = d[:, :1] - xs
-        diag = per_site(d[:, 1:])
+        q = (d[:, :1] - xs).reshape(-1)
+        diag = work[2][: chunk * x.size].reshape(chunk, x.size)
     count = (q < 0.0).astype(np.int64)
-    buf = np.empty((min(32, len(sites)),) + xs.shape)
-    pivots = list(buf)
     with np.errstate(divide="ignore", over="ignore"):
-        for start in range(0, len(sites), len(buf)):
-            block = sites[start : start + len(buf)]
+        for start in range(0, sites, chunk):
+            stop = min(start + chunk, sites)
+            outs = pivots[1 : stop - start + 1]
+            ops = per_site(e2, start, stop, outs)
             if d is None:
-                for c, out in zip(block, pivots):
+                for c, out in zip(ops, outs):
                     np.divide(c, q, out=out)
                     np.subtract(negx, out, out=out)
                     q = out
             else:
-                for c, di, out in zip(block, diag[start:], pivots):
+                diags = per_site(d[:, 1:], start, stop, diag[: stop - start])
+                for c, di, out in zip(ops, diags, outs):
                     np.divide(c, q, out=out)
                     np.subtract(di, out, out=out)
-                    np.subtract(out, xs, out=out)
+                    np.subtract(out, x, out=out)
                     q = out
-            count += np.count_nonzero(buf[: len(block)] < 0.0, axis=0)
-    return count
+            np.less(outs, 0.0, out=negative[: stop - start])
+            count += np.add.reduce(negative[: stop - start], axis=0, dtype=np.uint8)
+            np.copyto(carry, q)  # the next chunk's operands overwrite q's row
+            q = carry
+    return count.reshape(xs.shape)
 
 
-def midgap_vectors(offdiag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def midgap_vectors(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit sublattice vectors (a, b) of the midgap pair of open chains, one per row.
 
     `offdiag` holds the N-1 couplings of each zero-diagonal chain (N >= 4,
-    even) and `levels` its `midgap_levels` row (or any levels that hold
-    +/-s1 and +/-s2, the two smallest |E|); a chain whose s2 - s1 is at
-    rounding level gets a warning, since its pair is then not isolated.  In
-    sublattice order a chain is [[0, B], [B^T, 0]], B the lower-bidiagonal
-    block with diagonal u_i and subdiagonal w, and its +/-s1 eigenvectors
-    are (a, +/-b)/sqrt(2) for B's smallest singular pair, B b = s1 a.  Every
-    vector in their span has its A part along a and its B part along b, so
-    one shift-and-invert step near +s1, split by sublattice, gives both even
-    when the pair is numerically degenerate.  The shift is floored at
-    64*eps*bound (bound = Gershgorin), which bounds the inverse, so deep
-    chains need no log-space scaling.  Each row and its levels are first
-    divided by the row's `_row_scale`, so no square under- or overflows
-    and the vectors do not depend on the chain's scale.  A row is accepted
-    once ||H v - s1 v|| <= 1e-10*bound for v = (a, b)/sqrt(2); rows that
-    miss take another step from their iterate.  Each row's arithmetic is
+    even).  In sublattice order a chain is [[0, B], [B^T, 0]], B the
+    lower-bidiagonal block with diagonal u_i and subdiagonal w, and its
+    +/-s1 eigenvectors are (a, +/-b)/sqrt(2) for B's smallest singular
+    pair, B b = s1 a.  s1 is level N/2, bisected alone (`_chiral_levels`),
+    so its bits are those of `midgap_levels`.  Every vector in the pair's
+    span has its A part along a and its B part along b, so one
+    shift-and-invert step near +s1, split by sublattice, gives both even
+    when the pair is numerically degenerate.  A chain gets a warning when
+    one Sturm count finds its level N/2+1 below s1 + 1e-13*bound (bound =
+    Gershgorin), since its pair is then not isolated.  The shift is floored
+    at 64*eps*bound, which bounds the inverse, so deep chains need no
+    log-space scaling.  Each row and its s1 are first divided by the row's
+    `_row_scale`, so no square under- or overflows and the vectors do not
+    depend on the chain's scale.  A row is accepted once
+    ||H v - s1 v|| <= 1e-10*bound for v = (a, b)/sqrt(2); rows that miss
+    take another step from their iterate.  Each row's arithmetic is
     independent of the other rows.
     """
     e = np.atleast_2d(np.asarray(offdiag, dtype=float))
     rows, size = e.shape[0], e.shape[1] + 1
     if size < 4 or size % 2:
         raise ValueError("midgap vectors need chains with an even number (>= 4) of sites")
-    _finite("couplings and levels", e, levels)
+    _finite("couplings", e)
+    s1 = _chiral_levels(e, np.array([size // 2]))[:, 0]
     scale = _row_scale(e)
     e = e / scale
-    mags = np.sort(np.abs(levels / scale), axis=1)
-    s1 = mags[:, 0]
+    s1 = np.abs(s1 / scale[:, 0])
     bound = gershgorin_radii(e).max(axis=1)
-    if np.any(mags[:, 2] - mags[:, 1] <= 1e-13 * np.maximum(bound, _EPS)):
+    near = (s1 + 1e-13 * np.maximum(bound, _EPS))[:, None]
+    if np.any(_sturm_count(np.maximum(e * e, np.nextafter(0.0, 1.0)), near, None) >= size // 2 + 2):
         warnings.warn("midgap pair is degenerate with the next eigenvalue")
     shift = np.maximum(s1, 64.0 * _EPS * bound)
     start = np.random.Generator(np.random.Philox(key=[0x1D5EED, size])).standard_normal(size)
@@ -535,8 +569,9 @@ def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
     `offdiag` (B, N-1) holds each chain's bonds.  With `corner` None the
     chains are open; else they are even rings closed by `corner` (scalar or
     per row), taken to their Golub-Kahan chains _RING_CHUNK rings at a time.
-    One `_bisect_levels` call bisects level N//2, the smallest |E| of a
-    zero-diagonal chain, so each gap is bit-identical to that of
+    One `_chiral_levels` call bisects level N//2, the smallest |E| of a
+    zero-diagonal chain (+0.0 for an even chain cut by a zero intra-cell
+    bond), so each gap is bit-identical to that of
     `midgap_levels`, `eigenvalues_tridiagonal` and `chain_gap` of the chain
     alone.  Open-chain gaps have the couplings' relative accuracy; ring gaps
     are good to `gap_resolution`.
@@ -555,7 +590,7 @@ def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
             couplings[rows] = _golub_kahan_chains(
                 couplings[rows, 0::2], couplings[rows, 1::2], corner[rows]
             )
-    return 2.0 * _bisect_levels(couplings, [size // 2])[:, 0]
+    return 2.0 * _chiral_levels(couplings, np.array([size // 2]))[:, 0]
 
 
 def gap_resolution(m: ChainMatrix) -> float:
@@ -569,12 +604,12 @@ def midgap_pair(m: ChainMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Open chains with an even number (>= 4) of sites only.  Returns
     (v_minus, v_plus) with v_+/- = (a, +/-b)/sqrt(2) site by site, where
-    (a, b) is the chain's `midgap_vectors` row for its `midgap_levels`, so
-    v_plus belongs to +E_min.
+    (a, b) is the chain's one-row `midgap_vectors` call (which bisects
+    E_min, level N/2, itself), so v_plus belongs to +E_min.
     """
     if not m.is_tridiagonal or m.size % 2 or m.size < 4:
         raise ValueError("midgap pair needs an open chain with an even number (>= 4) of sites")
-    a, b = midgap_vectors(m.offdiag, midgap_levels(m.offdiag))
+    a, b = midgap_vectors(m.offdiag)
     v_plus = np.column_stack((a[0], b[0])).ravel() / math.sqrt(2.0)
     return v_plus * np.tile([1.0, -1.0], m.size // 2), v_plus
 

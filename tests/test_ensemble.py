@@ -29,7 +29,7 @@ from sshlab.model import (
     build_chain,
     coherence_length,
 )
-from sshlab.spectrum import midgap_levels, midgap_pair, midgap_vectors
+from sshlab.spectrum import midgap_pair, midgap_vectors
 
 # three full index blocks plus a remainder
 R_BLOCKS = 3 * ensemble._INDEX_BLOCK + 7
@@ -363,6 +363,12 @@ class TestWavefunctionProfile:
         np.testing.assert_array_equal(np.asarray(est.value), np.array(profiles).mean(axis=0))
 
 
+def untimed(sweeps):
+    """A sweep log without its `seconds`, each checked to be a wall time >= 0."""
+    assert all(isinstance(s["seconds"], float) and s["seconds"] >= 0.0 for s in sweeps)
+    return [{k: v for k, v in s.items() if k != "seconds"} for s in sweeps]
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -399,11 +405,11 @@ class TestWorkerPool:
             with ensemble.sweep_log() as inner:
                 assert estimate_mean_nu(params, dist, r, 5, threads=1).value == alone
         assert shared == alone
-        assert log == [
+        assert untimed(log) == [
             {"quantity": "mean_nu", "blocks": 2, "pooled": True},
             {"quantity": "mean_gap", "blocks": 1, "pooled": False},
         ]
-        assert inner == [{"quantity": "mean_nu", "blocks": 2, "pooled": False}]
+        assert untimed(inner) == [{"quantity": "mean_nu", "blocks": 2, "pooled": False}]
         assert not ensemble._sweep_logs
 
     def test_pool_processes_capped_at_cpu_count(self, fake_pool):
@@ -442,7 +448,7 @@ class TestWorkerPool:
         serial = estimate_mean_gap(params, dist, r, 5, threads=1)
         with ensemble.sweep_log() as log:
             pooled = estimate_mean_gap(params, dist, r, 5, threads=2)
-        assert log == [{"quantity": "mean_gap", "blocks": 2, "pooled": True}]
+        assert untimed(log) == [{"quantity": "mean_gap", "blocks": 2, "pooled": True}]
         assert pooled.value == serial.value and pooled.stderr == serial.stderr
         assert_no_children()
 
@@ -484,7 +490,7 @@ class TestWorkerPool:
         def worker(_params, _points, _r, rows):
             inter = 0.0 if rows.start == 6 else 0.5
             e = np.tile([1.0, inter, 1.0, inter, 1.0], (len(rows), 1))
-            return midgap_vectors(e, midgap_levels(e))[0]
+            return midgap_vectors(e)[0]
 
         serial = caught_warnings(map_rows, worker, 1)
         message = "midgap pair is degenerate with the next eigenvalue"
@@ -697,7 +703,7 @@ class TestSweep:
         with ensemble.sweep_log() as log:
             sweep_mean_gap(params, points, 40, threads=2)
             sweep_mean_nu(params, points, 40, threads=2)
-        assert log == [
+        assert untimed(log) == [
             {"quantity": "mean_gap", "blocks": 2, "pooled": True},
             {"quantity": "mean_nu", "blocks": 1, "pooled": False},
         ]
@@ -731,7 +737,8 @@ class TestGapBlocks:
                 sweep_mean_gap(params, sweep, r, threads=threads)
             pooled = threads != 1 and len(sizes) > 1
             assert seen == sizes
-            assert log == [{"quantity": "mean_gap", "blocks": len(sizes), "pooled": pooled}]
+            entry = {"quantity": "mean_gap", "blocks": len(sizes), "pooled": pooled}
+            assert untimed(log) == [entry]
 
     def test_sweep_bytes_equal_blocks_of_four(self):
         # 3 gamma x 27 rings of 10 dimers: blocks of 41 and 40 rows, against blocks of 4

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,11 +53,16 @@ def chiral_entries(e, which, ev=None):
     A level at or above the middle is the oracle's bisected entry, and a
     level k below it the exact mirror 0.0 - x of entry N-1-k.  (The
     oracle's own lower entries round the other way: each is the largest
-    double under its level.)  `ev` is the oracle's spectrum of e, if at hand.
+    double under its level.)  An even chain cut by a zero bond e[2j] has
+    levels N/2 - 1 and N/2 exactly 0.0, where the oracle bisects its floored
+    square.  `ev` is the oracle's spectrum of e, if at hand.
     """
     ev = oracle_eigvals(np.zeros(len(e) + 1), e) if ev is None else ev
     top = len(e)  # N - 1
-    return np.array([ev[k] if 2 * k >= top else 0.0 - ev[top - k] for k in which])
+    levels = np.array([ev[k] if 2 * k >= top else 0.0 - ev[top - k] for k in which])
+    if top % 2 and not np.all(e[0::2]):
+        levels[np.isin(list(which), (top // 2, top // 2 + 1))] = 0.0
+    return levels
 
 
 def central_entries(e):
@@ -146,7 +152,7 @@ def projector_profile(e):
 
 
 def kernel_profiles(e):
-    a, b = midgap_vectors(e, midgap_levels(e))
+    a, b = midgap_vectors(e)
     return a * a + b * b
 
 
@@ -272,7 +278,7 @@ class TestMidgapLevels:
         got = midgap_levels(e)
         for row, levels in zip(e, got):
             np.testing.assert_array_equal(levels, central_entries(row))
-        assert got[1, 1] == pytest.approx(-got[1, 2], abs=1e-13)
+        assert got[1, 1:3].tobytes() == np.zeros(2).tobytes()  # +0.0: det = prod e[2j]^2 = 0
 
     def test_subnormal_chains_alone_and_in_a_block(self):
         # couplings near 1e-309 would square to zero unscaled; the kernel
@@ -396,9 +402,9 @@ class TestMidgapVectors:
         e = rng.uniform(-0.5, 2.5, (13, 59))
         e[:, 1::2] = 0.95
         e[4, 10] = 0.0
-        a, b = midgap_vectors(e, midgap_levels(e))
+        a, b = midgap_vectors(e)
         for i in range(len(e)):
-            a1, b1 = midgap_vectors(e[i : i + 1], midgap_levels(e[i : i + 1]))
+            a1, b1 = midgap_vectors(e[i : i + 1])
             np.testing.assert_array_equal(a1[0], a[i])
             np.testing.assert_array_equal(b1[0], b[i])
 
@@ -409,6 +415,29 @@ class TestMidgapVectors:
             v_minus, v_plus = midgap_pair(m)
         for v, sign in ((v_plus, 1.0), (v_minus, -1.0)):
             assert np.linalg.norm(m.matvec(v) - sign * v) <= 1e-10
+
+    def test_warning_threshold_on_a_split_domain_wall_pair(self):
+        # a domain-wall chain beside a copy of itself times c, cut by a zero
+        # bond: its two smallest levels are s1 and about c*s1, so c moves
+        # level N/2+1 to just inside or just outside s1 + 1e-13*bound
+        walls = np.full(40, 0.5)
+        walls[15:25] = 2.0
+        h = build_chain(ChainParams(n=40, u=0.5, w=1.0), Realization(walls)).offdiag
+        (scaled,) = unit_scaled(h)
+        s1 = midgap_levels(scaled)[0, 2]
+        delta = 1e-13 * ChainMatrix(offdiag=scaled).norm_bound()
+        for fraction, warns in ((0.9, True), (1.1, False)):
+            e = np.concatenate((h, [0.0], (1.0 + fraction * delta / s1) * h))
+            (row,) = unit_scaled(e)
+            levels = midgap_levels(row)[0]
+            split = (levels[3] - levels[2]) / delta
+            assert (split < 1.0) == warns and abs(split - fraction) < 0.05
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                midgap_vectors(e)
+            assert [str(w.message) for w in caught] == (
+                ["midgap pair is degenerate with the next eigenvalue"] if warns else []
+            )
 
     def test_midgap_pair_rejects_rings_and_odd_sizes(self):
         rng = np.random.default_rng(45)
@@ -421,7 +450,7 @@ class TestMidgapVectors:
             with pytest.raises(ValueError):
                 midgap_pair(m)
         with pytest.raises(ValueError):
-            midgap_vectors(np.ones((2, 4)), np.ones((2, 4)))
+            midgap_vectors(np.ones((2, 4)))
 
 
 class TestRingGap:
@@ -490,14 +519,18 @@ class TestRingGap:
         e = rng.uniform(0.3, 1.7, (2, 19))
         e[0, 8] = 0.0
         e[1, 0] = 1e-170
-        chains += [unit_scaled(row)[0] for row in e]  # the floored squares of the oracle
+        cut, floored = (unit_scaled(row)[0] for row in e)  # the floored squares of the oracle
         walls = np.full(40, 0.5)
         walls[15:25] = 2.0
+        chains.append(floored)
         chains.append(build_chain(ChainParams(n=40, u=0.5, w=1.0), Realization(walls)).offdiag)
         for offdiag in chains:
             m = ChainMatrix(offdiag=offdiag)
             full = SpectralResult.from_eigenvalues(oracle_eigvals(np.zeros(m.size), offdiag))
             assert chain_gap(m) == full.gap
+        # an even chain cut by a zero intra-cell bond: det = 0, so the gap is exactly +0.0
+        for offdiag in (cut, e[0]):
+            assert np.float64(chain_gap(ChainMatrix(offdiag=offdiag))).tobytes() == bytes(8)
         # a subnormal gap, as the oracle's on the unit-scaled row
         offdiag, levels = deep_chain()
         assert chain_gap(ChainMatrix(offdiag=offdiag)) == SpectralResult.from_eigenvalues(levels).gap
@@ -739,6 +772,35 @@ class TestLevelProperties:
                 assert block[k].tobytes() == call(e[k : k + 1], corners[k : k + 1])[0].tobytes()
 
 
+class TestScratchMemory:
+    """The level kernels' scratch does not grow with the chain."""
+
+    BUDGET = 4_000_000  # bytes; one (N-1) x rows x shifts operand would take 20-40 MB here
+
+    @pytest.mark.parametrize(
+        "kernel, rows, dimers", [(chain_gaps, 2, 10_000), (midgap_levels, 40, 2000)]
+    )
+    def test_peak_within_a_fixed_budget(self, kernel, rows, dimers):
+        e = np.random.default_rng(70).uniform(0.3, 1.7, (rows, 2 * dimers - 1))
+        tracemalloc.start()
+        try:
+            kernel(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BUDGET
+
+    def test_general_diagonal_block_rows_match_alone(self):
+        # the diagonal's broadcast scratch: every row of a block as eigvals_sturm of the row
+        rng = np.random.default_rng(71)
+        d = rng.standard_normal((5, 70))
+        e = rng.uniform(-2.0, 2.0, (5, 69))
+        e[2, 30] = 0.0
+        block = spectrum._bisect_levels(e, np.arange(70), d)
+        for k in range(5):
+            assert block[k].tobytes() == eigvals_sturm(d[k], e[k]).tobytes()
+
+
 class TestNonFiniteCouplings:
     """NaN and +/-inf raise at every entry, before any arithmetic can warn."""
 
@@ -748,9 +810,6 @@ class TestNonFiniteCouplings:
         good = np.random.default_rng(64).uniform(0.3, 1.7, (1, 11))
         bad_row = good.copy()
         bad_row[0, 5] = bad
-        levels = midgap_levels(good)
-        bad_levels = levels.copy()
-        bad_levels[0, 2] = bad
         cases = [
             (eigvals_sturm, np.r_[bad, np.zeros(11)], good[0]),
             (eigvals_sturm, np.zeros(12), bad_row[0]),
@@ -764,8 +823,7 @@ class TestNonFiniteCouplings:
                 (chain_gaps, e),
                 (chain_gaps, e, 1.0),
                 (chain_gaps, ok, corner),
-                (midgap_vectors, e, np.vstack((levels, levels))[rows]),
-                (midgap_vectors, ok, np.vstack((levels, bad_levels))[rows]),
+                (midgap_vectors, e),
             ]
         for fn, *args in cases:
             with pytest.raises(ValueError, match="must be finite"):
@@ -792,11 +850,11 @@ class TestExtremeScales:
         e = rng.uniform(0.3, 1.7, (6, 39))
         e[:, 1::2] = 0.8
         levels = midgap_levels(e)
-        a, b = midgap_vectors(e, levels)
+        a, b = midgap_vectors(e)
         for k in self.POWERS:
             scaled = midgap_levels(np.ldexp(e, k))
             assert scaled.tobytes() == np.ldexp(levels, k).tobytes()
-            a_k, b_k = midgap_vectors(np.ldexp(e, k), scaled)
+            a_k, b_k = midgap_vectors(np.ldexp(e, k))
             assert a_k.tobytes() == a.tobytes() and b_k.tobytes() == b.tobytes()
 
     def test_general_diagonal(self):
@@ -829,11 +887,11 @@ class TestRowIndependence:
     def test_midgap_levels_and_vectors(self):
         offdiag = np.array([m.offdiag for m in mixed_gamma_block(BoundaryCondition.OPEN)])
         levels = midgap_levels(offdiag)
-        a, b = midgap_vectors(offdiag, levels)
+        a, b = midgap_vectors(offdiag)
         for k, row in enumerate(offdiag):
             alone = midgap_levels(row)[0]
             assert alone.tobytes() == levels[k].tobytes()
-            a_k, b_k = midgap_vectors(row, alone[None, :])
+            a_k, b_k = midgap_vectors(row)
             assert a_k[0].tobytes() == a[k].tobytes() and b_k[0].tobytes() == b[k].tobytes()
 
     def test_ring_golub_kahan_levels(self):
