@@ -15,7 +15,6 @@ must match the subcommand.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -543,6 +542,8 @@ def run_experiment(cfg: RunConfig) -> Path:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here only: no data run parses arguments
+
     parser = argparse.ArgumentParser(
         prog="sshlab",
         description="Disordered dimerized-chain experiments (index statistics, "

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import signal
 import sys
 import time
 import warnings
@@ -264,6 +263,8 @@ def _fork_map(worker, blocks: list, workers: int) -> list:
             with open(read_fd, "rb", closefd=False) as pipe:
                 replies.append(pipe.read())
     except BaseException:
+        import signal  # here only: building its enums costs every run a few ms
+
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise

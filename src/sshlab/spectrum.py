@@ -15,9 +15,11 @@ N/2 it bisects.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  A
-batched Householder bidiagonalization of Q, which updates only the window
-where fill-in lives, gives its Golub-Kahan chain, a zero-diagonal open
-chain with the ring's levels up to about eps*||Q|| (`gap_resolution`).
+batched Householder bidiagonalization of Q, which works only on the window
+where fill-in lives and holds each step's rank-2 update in a panel that is
+flushed into the window every _PANEL steps, gives its Golub-Kahan chain, a
+zero-diagonal open chain with the ring's levels up to about eps*||Q||
+(`gap_resolution`).
 `chain_gaps` takes the gaps of a block of open chains or even rings;
 `chain_gap(m)` is its one-row call, and the whole spectrum (Householder
 tridiagonalization for dense matrices) for the chains it rejects.
@@ -51,6 +53,8 @@ _EPS = np.finfo(float).eps
 # rings per `_golub_kahan_chains` call in `chain_gaps`; rows are independent,
 # so the chunk bounds the buffers without changing any result
 _RING_CHUNK = 8
+# steps whose updates `_golub_kahan_chains` holds in its panel between flushes
+_PANEL = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -154,6 +158,18 @@ def _golub_kahan_chains(u: np.ndarray, w: np.ndarray, corner: np.ndarray) -> np.
     ks = (n - 5 - slack) // 2 the natural trailing block [ks, n)^2.  The
     same step then runs on it to the end.
 
+    A step's two reflections change the rest of its window by a rank-2
+    product, which is not applied at once (the delayed update of LAPACK's
+    dlabrd; Dongarra, Hammarling & Sorensen, J. Comput. Appl. Math. 27,
+    1989).  Its two factors join a per-ring panel L R, in buffer
+    coordinates, and the window is the buffer minus L R.  Every _PANEL
+    steps one batched product subtracts L R from the window and the panel
+    is emptied.  After each other step, the pending part of the head's two
+    rows and one column (those that move, or the next step's row and
+    column) is subtracted and their panel entries zeroed, so every step
+    finds its own column and row up to date, and the last step leaves
+    d_{n-1} so.
+
     Each ring is divided by its `_row_scale`, so no norm under- or
     overflows; a column or row whose norm is still zero skips its
     reflector.  Each ring's arithmetic is independent of the other rows.
@@ -186,10 +202,27 @@ def _golub_kahan_chains(u: np.ndarray, w: np.ndarray, corner: np.ndarray) -> np.
         buf[:, i, i] = u[:, t:]
         buf[:, i, i - 1] = w[:, t - 1 :]
     steps = []
-    work = (np.empty((rings, m, 2)), np.zeros((rings, 2, m)), np.empty(rings * m * m))
+    # panel slot j holds a step's (vt, q) as columns 2j, 2j+1 of L = left and
+    # its (p, z) as rows 2j, 2j+1 of R = right; a flush's product goes to room
+    left, right = np.zeros((rings, m, 2 * _PANEL)), np.zeros((rings, 2 * _PANEL, m))
+    room = np.empty(rings * (m - 1) ** 2)
     for k in range(n - 1):
         h = m - n + k if k >= ks else m - 5 - slack - k
-        steps.append(_golub_kahan_step(buf, h, work))
+        slot = k % _PANEL
+        steps.append(_golub_kahan_step(buf, h, left, right, slot))
+        lp, rp = left[:, h + 1 :, : 2 * slot + 2], right[:, : 2 * slot + 2, h + 1 :]
+        if slot == _PANEL - 1:
+            trail = buf[:, h + 1 :, h + 1 :]
+            prod = room[: trail.size].reshape(trail.shape)
+            np.matmul(lp, rp, out=prod)
+            np.subtract(trail, prod, out=trail)
+            left.fill(0.0)
+            right.fill(0.0)
+        else:
+            buf[:, h + 1 : h + 3, h + 1 :] -= np.matmul(lp[:, :2], rp)
+            buf[:, h + 3 :, h + 1] -= np.matmul(lp[:, 2:], rp[:, :, :1])[:, :, 0]
+            lp[:, :2] = 0.0
+            rp[:, :, 0] = 0.0
         if k >= ks:
             continue
         # head rows k+1, k+2 and head column k+1 move two places toward the start
@@ -210,61 +243,64 @@ def _golub_kahan_chains(u: np.ndarray, w: np.ndarray, corner: np.ndarray) -> np.
     return np.array(steps).transpose(2, 0, 1).reshape(rings, -1)[:, :-1] * scale
 
 
-def _golub_kahan_step(buf: np.ndarray, h: int, work) -> tuple[np.ndarray, np.ndarray]:
-    """One batched Golub-Kahan step on the square windows buf[:, h:, h:].
+def _golub_kahan_step(
+    buf: np.ndarray, h: int, left: np.ndarray, right: np.ndarray, slot: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batched Golub-Kahan step on the square windows buf[:, h:, h:] less the pending panel.
 
-    Returns the signed norms (alpha, beta) of the window's first column and
-    of its first row after the left reflection: the step's d and e up to
-    sign.  The reduced trailing block replaces the window's rows and
-    columns 1:.  A 2 x 2 window has no row to reflect; beta is then the
-    row's one entry.  `work` holds the (rings, m, 2) and (rings, 2, m)
-    factors of the rank-2 update, the second zero left of the window, and
-    room for their product.
+    Panel slots before `slot` are pending: the window is the buffer minus
+    L R, L = left[:, h:, :2*slot] and R = right[:, :2*slot, h:], whose
+    first column and row must be zero.  Returns the signed norms (alpha,
+    beta) of the window's first column and of its first row after the left
+    reflection: the step's d and e up to sign.  The update of the rest of
+    the window, vt p^T + q z^T, goes into panel slot `slot`, which must be
+    zero.  A 2 x 2 window has no row to reflect: beta is then the row's one
+    entry, and q and z stay zero.
     """
-    lbuf, rbuf, room = work
-    rings, m = buf.shape[:2]
-    s = m - h
+    s, j = buf.shape[1] - h, 2 * slot
     win = buf[:, h:, h:]
     x, rest, trail = win[:, :, 0], win[:, :, 1:], win[:, 1:, 1:]
-    lhs, rhs = lbuf[:, : s - 1], rbuf[:, :, h + 1 :]
-    vt, q, p, z = lhs[:, :, 0], lhs[:, :, 1], rhs[:, 0], rhs[:, 1]
+    vt, q = left[:, h + 1 :, j], left[:, h + 1 :, j + 1]
+    p, z = right[:, j, h + 1 :], right[:, j + 1, h + 1 :]
     # the reflector I - tau v v^T (v = (1, vt)) sends x to -alpha e0; its
     # first row is -x^T / alpha, so y = (x^T rest) / alpha is minus the
     # reflected row, and the rest of the window loses vt p^T
-    alpha = np.copysign(np.sqrt(np.einsum("ij,ij->i", x, x)), x[:, 0])
-    y = np.matmul(x[:, None, :], rest)[:, 0]
-    # a zero column keeps its rows: y = -rest[0] and vt = 0
-    live = alpha != 0.0
-    y /= np.where(live, alpha, 1.0)[:, None]
-    y[~live] = -rest[~live, 0]
-    np.divide(x[:, 1:], np.where(live, x[:, 0] + alpha, 1.0)[:, None], out=vt)
-    vt[~live] = 0.0
+    xt = x[:, None, :]
+    xwin = np.matmul(xt, win)[:, 0]  # (x^T x, x^T rest)
+    alpha = np.copysign(np.sqrt(xwin[:, 0]), x[:, 0])
+    y = xwin[:, 1:]
+    if j:
+        y -= np.matmul(np.matmul(xt, left[:, h:, :j]), right[:, :j, h + 1 :])[:, 0]
+    if np.count_nonzero(alpha) == len(alpha):
+        y /= alpha[:, None]
+        np.divide(x[:, 1:], (x[:, 0] + alpha)[:, None], out=vt)
+    else:
+        # a zero column keeps its rows: y = -rest[0] and vt = 0
+        live = alpha != 0.0
+        y /= np.where(live, alpha, 1.0)[:, None]
+        y[~live] = -rest[~live, 0]
+        np.divide(x[:, 1:], np.where(live, x[:, 0] + alpha, 1.0)[:, None], out=vt)
+        vt[~live] = 0.0
     np.add(rest[:, 0], y, out=p)
     if s == 2:
-        trail[:, 0, 0] -= vt[:, 0] * p[:, 0]
         return alpha, y[:, 0]
     # the same on the reflected row from the right, with z = (1, ...) and
     # (trail - vt p^T)(I - tau z z^T) = trail - vt p^T - q z^T
-    beta = np.copysign(np.sqrt(np.einsum("ij,ij->i", y, y)), y[:, 0])
+    beta = np.copysign(np.sqrt(np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]), y[:, 0])
     z0 = y[:, 0] + beta
-    live = beta != 0.0
-    tau = np.where(live, z0, 0.0) / np.where(live, beta, 1.0)
-    np.divide(y, np.where(live, z0, 1.0)[:, None], out=z)
-    z[:, 0] = 1.0
-    np.matmul(trail, z[:, :, None], out=q[:, :, None])
-    q -= np.einsum("ij,ij->i", p, z)[:, None] * vt
-    q *= tau[:, None]
-    if 2 * (s - 1) >= m:
-        # whole buffer rows are contiguous, which pays once the window is
-        # half the buffer; rbuf is zero left of the window
-        rbuf[:, :, h] = 0.0
-        prod = room[: rings * (s - 1) * m].reshape(rings, s - 1, m)
-        np.matmul(lhs, rbuf, out=prod)
-        trail = buf[:, h + 1 :]
+    if np.count_nonzero(beta) == len(beta):
+        tau = z0 / beta
+        np.divide(y, z0[:, None], out=z)
     else:
-        prod = room[: rings * (s - 1) ** 2].reshape(rings, s - 1, s - 1)
-        np.matmul(lhs, rhs, out=prod)
-    np.subtract(trail, prod, out=trail)
+        live = beta != 0.0
+        tau = np.where(live, z0, 0.0) / np.where(live, beta, 1.0)
+        np.divide(y, np.where(live, z0, 1.0)[:, None], out=z)
+    z[:, 0] = 1.0
+    # q = tau (trail - L R - vt p^T) z, vt and p being the slot's first halves
+    lp, rp = left[:, h + 1 :, : j + 1], right[:, : j + 1, h + 1 :]
+    np.matmul(trail, z[:, :, None], out=q[:, :, None])
+    q -= np.matmul(lp, np.matmul(rp, z[:, :, None]))[:, :, 0]
+    q *= tau[:, None]
     return alpha, beta
 
 
@@ -484,50 +520,55 @@ def midgap_vectors(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.empty((rows, size // 2))
     b = np.empty((rows, size // 2))
     act = np.arange(rows)
+    work = np.empty((rows, size))  # the solve's multipliers, then the residual
     for _ in range(4):
-        ea = e[act]
-        x = _shifted_solve(ea, shift[act], _EPS * bound[act], x)
-        y = np.empty_like(x)
-        y[:, 0::2] = _unit(x[:, 0::2])
-        y[:, 1::2] = _unit(x[:, 1::2])
-        resid = -s1[act, None] * y
-        resid[:, :-1] += ea * y[:, 1:]
-        resid[:, 1:] += ea * y[:, :-1]
-        ok = np.sqrt(0.5 * np.sum(resid * resid, axis=1)) <= 1e-10 * bound[act]
-        a[act[ok]], b[act[ok]] = y[ok, 0::2], y[ok, 1::2]
-        act, x = act[~ok], y[~ok]
+        ea = e if len(act) == rows else e[act]
+        resid = work[: len(act)]
+        _shifted_solve(ea, shift[act], _EPS * bound[act], x, resid[:, :-1])
+        _unit(x[:, 0::2])
+        _unit(x[:, 1::2])
+        np.multiply(-s1[act, None], x, out=resid)
+        resid[:, :-1] += ea * x[:, 1:]
+        resid[:, 1:] += ea * x[:, :-1]
+        resid *= resid
+        ok = np.sqrt(0.5 * np.sum(resid, axis=1)) <= 1e-10 * bound[act]
+        a[act[ok]], b[act[ok]] = x[ok, 0::2], x[ok, 1::2]
+        act, x = act[~ok], x[~ok]
         if not len(act):
             return a, b
     raise ConvergenceError(f"midgap vectors of {len(act)} chains missed their residual")
 
 
-def _shifted_solve(e, shift, pivmin, rhs):
-    """(T - shift) x = rhs for zero-diagonal chains T, one per row, by unpivoted LDL^T.
+def _shifted_solve(e, shift, pivmin, y, mult):
+    """(T - shift) x = y for zero-diagonal chains T, one per row, by unpivoted LDL^T, in place.
 
     A pivot below pivmin = eps*bound in magnitude becomes -pivmin, a change
     of T within its rounding error.  (A floor near underflow such as 1e-292
     is too small: an exactly cancelled pivot then blows the iterate of a
-    2000-dimer chain with w/u = 2 up past 1e290.)  Sites run along the first
-    axis, so each step works on contiguous rows.
+    2000-dimer chain with w/u = 2 up past 1e290.)  L's multipliers go to
+    `mult`, shaped as e; each site's values are divided by their pivot once
+    the next site no longer needs them, so no pivot is stored.
     """
-    e, y = e.T.copy(), rhs.T.copy()
-    q = np.empty_like(y)
-    q[0] = -shift
-    for i in range(1, len(y)):
-        p = -shift - e[i - 1] * e[i - 1] / q[i - 1]
-        q[i] = np.where(np.abs(p) < pivmin, -pivmin, p)
-        e[i - 1] /= q[i - 1]  # now the multiplier of L
-        y[i] -= e[i - 1] * y[i - 1]
-    y /= q
-    for i in range(len(y) - 2, -1, -1):
-        y[i] -= e[i] * y[i + 1]
-    return np.ascontiguousarray(y.T)
+    nshift, npiv = -shift, -pivmin
+    q = nshift
+    for i in range(1, y.shape[1]):
+        c = e[:, i - 1]
+        p = c * c
+        p /= q
+        np.subtract(nshift, p, out=p)
+        np.divide(c, q, out=mult[:, i - 1])
+        y[:, i] -= mult[:, i - 1] * y[:, i - 1]
+        y[:, i - 1] /= q
+        q = np.where(np.abs(p) < pivmin, npiv, p)
+    y[:, -1] /= q
+    for i in range(y.shape[1] - 2, -1, -1):
+        y[:, i] -= mult[:, i] * y[:, i + 1]
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    """Rows of x scaled by their largest magnitude, then to unit length."""
-    x = x / np.max(np.abs(x), axis=1, keepdims=True)
-    return x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+def _unit(x: np.ndarray) -> None:
+    """Rows of x scaled by their largest magnitude, then to unit length, in place."""
+    x /= np.max(np.abs(x), axis=1, keepdims=True)
+    x /= np.sqrt(np.sum(x * x, axis=1, keepdims=True))
 
 
 # ----------------------------------------------------------------------

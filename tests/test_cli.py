@@ -545,8 +545,11 @@ class TestMainEntry:
         assert proc.stdout.strip() == "ok"
 
     def test_cli_imports_no_process_pool(self, tmp_path):
-        pools = "{'concurrent.futures', 'multiprocessing'}"
-        script = f"import sys, sshlab.cli; print(sorted({pools} & set(sys.modules)))"
+        # nor modules that no data run uses and that take ms to import:
+        # argparse (only main parses arguments) and signal (only a failed
+        # sweep kills its children)
+        unused = "{'concurrent.futures', 'multiprocessing', 'argparse', 'signal'}"
+        script = f"import sys, sshlab.cli; print(sorted({unused} & set(sys.modules)))"
         proc = run_python(["-c", script], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
