@@ -492,7 +492,7 @@ def run_selftest() -> int:
         model.Realization(couplings=rng.uniform(0.5, 1.5, 40)),
     )
     dense = spectrum.eigenvalues_dense(ring).eigenvalues
-    # Householder and full bisection, so the pairing is not built in as on open chains
+    # LAPACK's dense eigvalsh, so the pairing is not built in as on open chains
     checks.append(
         (
             "chiral pairing",

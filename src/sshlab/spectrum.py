@@ -1,17 +1,18 @@
 """Eigensolvers for the chain matrices.
 
-Self-contained kernels, no external linear-algebra backends.  One batched
-Sturm-bisection kernel, `_bisect_levels`, gives any levels of a stack of
-tridiagonal chains, each on adjacent doubles after 64 halvings on their
-ordinals, with one IEEE Sturm counter (`_sturm_count`, one contiguous
-ufunc call per site and step) on rows scaled by a power of two
+Every chain kernel is numpy array code written here; the ring reduction
+batches its products through `np.matmul` (BLAS), and dense matrices go to
+`np.linalg.eigvalsh` (numpy's own LAPACK).  One batched Sturm-bisection
+kernel, `_bisect_levels`, gives any levels of a stack of zero-diagonal
+(chiral) tridiagonal chains, each on adjacent doubles after 64 halvings on
+their ordinals, with one IEEE Sturm counter (`_sturm_count`, one
+contiguous ufunc call per site and step) on rows scaled by a power of two
 (`_row_scale`, shared by every kernel on coupling rows); non-finite
-couplings raise ValueError.  A zero-diagonal chain is chiral, its levels
-exactly +/-sigma, so `_chiral_levels` bisects only levels at or above N/2
-and mirrors the rest, and its count has the couplings' relative accuracy
-(Demmel & Kahan 1990): open-chain gaps do too, however small.  A batched
-shift-and-invert kernel gives the open-chain midgap pair, at the one level
-N/2 it bisects.
+couplings raise ValueError.  A chiral chain's levels are exactly +/-sigma,
+so `_chiral_levels` bisects only levels at or above N/2 and mirrors the
+rest, and its count has the couplings' relative accuracy (Demmel & Kahan
+1990): open-chain gaps do too, however small.  A batched shift-and-invert
+kernel gives the open-chain midgap pair, at the one level N/2 it bisects.
 
 An even ring is bipartite, H = [[0, Q], [Q^T, 0]] in sublattice order, so
 its levels are the singular values +/-sigma of the n x n block Q.  A
@@ -21,8 +22,8 @@ flushed into the window every _PANEL steps, gives its Golub-Kahan chain, a
 zero-diagonal open chain with the ring's levels up to about eps*||Q||
 (`gap_resolution`).
 `chain_gaps` takes the gaps of a block of open chains or even rings;
-`chain_gap(m)` is its one-row call, and the whole spectrum (Householder
-tridiagonalization for dense matrices) for the chains it rejects.
+`chain_gap(m)` is its one-row call, and the whole spectrum for the chains
+it rejects (`eigenvalues_dense` for odd rings).
 """
 
 from __future__ import annotations
@@ -94,45 +95,6 @@ def _finite(name: str, *arrays) -> None:
     """Raise ValueError("<name> must be finite") if any of `arrays` holds a NaN or infinity."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"{name} must be finite")
-
-
-def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a real symmetric matrix to tridiagonal form (d, e).
-
-    Eigenvalue-only variant: the orthogonal transforms are not accumulated.
-    Each step applies A -> A - v w^T - w v^T on the trailing block, which
-    keeps the work in rank-2 array updates.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0]]), np.empty(0)
-    e = np.zeros(n - 1)
-    pair = np.empty((n, 2))
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        norm_x = math.sqrt(float(np.dot(x, x)))
-        if norm_x == 0.0:
-            e[k] = 0.0
-            continue
-        alpha = -math.copysign(norm_x, x[0]) if x[0] != 0.0 else -norm_x
-        v = x.copy()
-        v[0] -= alpha
-        vv = float(np.dot(v, v))
-        e[k] = alpha
-        if vv == 0.0:
-            continue
-        sub = a[k + 1 :, k + 1 :]
-        beta = 2.0 / vv
-        p = beta * (sub @ v)
-        w = p - (0.5 * beta * float(np.dot(v, p))) * v
-        # rank-2 update sub -= v w^T + w v^T as one inner-dimension-2 GEMM
-        vw = pair[: n - 1 - k]
-        vw[:, 0] = v
-        vw[:, 1] = w
-        sub -= vw @ vw[:, ::-1].T
-    e[n - 2] = a[n - 1, n - 2]
-    return np.diag(a).copy(), e
 
 
 def _golub_kahan_chains(u: np.ndarray, w: np.ndarray, corner: np.ndarray) -> np.ndarray:
@@ -304,13 +266,6 @@ def _golub_kahan_step(
     return alpha, beta
 
 
-def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """All eigenvalues of tridiag(d, e), sorted: one `_bisect_levels` row, every level."""
-    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
-    _finite("d and e", d, e)
-    return d.copy() if len(d) == 1 else _bisect_levels(e[None], np.arange(len(d)), d[None])[0]
-
-
 def midgap_levels(offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues N/2-2 .. N/2+1 of zero-diagonal open chains, one per row.
 
@@ -349,32 +304,30 @@ def _flip(i: np.ndarray) -> np.ndarray:
     return i ^ ((i >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-    """Sorted eigenvalues `which` (0-based) of tridiag(d[r], e[r]), one chain per row r.
+def _bisect_levels(e: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues `which` (0-based) of zero-diagonal chains tridiag(0, e[r]), one per row r.
 
-    d is None for zero diagonals.  Each row is divided by its `_row_scale`
-    and its levels multiplied back, so a row times 2^k gives 2^k times the
-    same bits.  A square still zero is floored at the smallest subnormal (a
-    bond under about 2^-537 of the row's largest counts as that large), so
-    the IEEE count of `_sturm_count` is exact (Demmel, Dhillon & Ren, ETNA
-    3, 1995); an all-zero row gives +0.0.  Each level is halved 64 times on
-    the ordinals of the doubles (`_flip`) from the whole finite range, and
-    level k is then lo, the largest double whose count is at most k.  A
-    chiral chain's count has its couplings' relative accuracy while the
-    pivots, about x and e^2/x, stay normal, so its levels do down to about
-    2^-1022 of its scale.  One Sturm pass counts every midpoint of a
-    bisection subtree (up to 6 levels deep, near 1000 shifts), then the path
-    is walked level by level.  A subtree is kept as the 2^depth + 1 bounds
-    of its leaves, in order, in one array per call, so node j of level l
-    splits at bound (2j + 1) * 2^(depth - l - 1) and the walk moves by
-    index.  Each row is independent of the other rows and of the depth.
+    Each row is divided by its `_row_scale` and its levels multiplied back,
+    so a row times 2^k gives 2^k times the same bits.  A square still zero
+    is floored at the smallest subnormal (a bond under about 2^-537 of the
+    row's largest counts as that large), so the IEEE count of `_sturm_count`
+    is exact (Demmel, Dhillon & Ren, ETNA 3, 1995); an all-zero row gives
+    +0.0.  Each level is halved 64 times on the ordinals of the doubles
+    (`_flip`) from the whole finite range, and level k is then lo, the
+    largest double whose count is at most k.  The count has the couplings'
+    relative accuracy while the pivots, about x and e^2/x, stay normal, so
+    the levels do down to about 2^-1022 of the row's scale (Demmel & Kahan
+    1990).  One Sturm pass counts every midpoint of a bisection subtree (up
+    to 6 levels deep, near 1000 shifts), then the path is walked level by
+    level.  A subtree is kept as the 2^depth + 1 bounds of its leaves, in
+    order, in one array per call, so node j of level l splits at bound
+    (2j + 1) * 2^(depth - l - 1) and the walk moves by index.  Each row is
+    independent of the other rows and of the depth.  `tests/oracles.py`
+    keeps the general-diagonal count and bisection that give the same bits.
     """
-    scale = _row_scale(e) if d is None else _row_scale(e, d)
+    scale = _row_scale(e)
     e = e / scale
     live = (e != 0.0).any(axis=1)
-    if d is not None:
-        d = d / scale + 0.0  # -0.0 + 0.0 is +0.0: a signed zero would flip pivot signs
-        live |= (d != 0.0).any(axis=1)
     targets = np.asarray(which) + 1
     if not len(e):  # the subtree reshapes cannot size an empty block
         return np.empty((0, len(targets)))
@@ -386,7 +339,7 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
     ids, goal = np.arange(len(tree)), np.tile(targets, len(e))
     # -max and +max are 2^64 - 2^53 ordinals apart: 64 halvings take them to adjacent ones
     lo, hi = _flip(np.array([-np.finfo(float).max, np.finfo(float).max]).view(np.int64))
-    work = _sturm_work(e2.shape[1], len(tree) << depth, d is not None)
+    work = _sturm_work(e2.shape[1], len(tree) << depth)
     for start in range(0, 64, depth):
         span = 1 << min(depth, 64 - start)
         bounds = tree[:, : span + 1]
@@ -399,7 +352,7 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
             mid += left & right & 1
             step //= 2
         shifts = _flip(bounds[:, 1:span]).view(float).reshape(len(e), -1)
-        counts = _sturm_count(e2, shifts, d, work).reshape(-1)
+        counts = _sturm_count(e2, shifts, work).reshape(-1)
         # walk down from the root; bound b of subtree i has its count at i*(span-1) + b-1
         at = ids * (span - 1) + (span // 2 - 1)
         below = counts[at] >= goal
@@ -414,64 +367,49 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray, d: np.ndarray | None = None
     return np.where(live[:, None], levels * scale, 0.0)
 
 
-def _sturm_work(sites: int, shifts: int, diagonal: bool) -> tuple:
-    """`_sturm_count` scratch for `shifts` shifts: pivot, bool and diagonal rows for 32 sites."""
+def _sturm_work(sites: int, shifts: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_sturm_count` scratch for `shifts` shifts: pivot and bool rows for up to 32 sites."""
     rows = min(32, sites)
-    diag = np.empty(rows * shifts) if diagonal else None
-    return np.empty((rows + 1) * shifts), np.empty(rows * shifts, dtype=bool), diag
+    return np.empty((rows + 1) * shifts), np.empty(rows * shifts, dtype=bool)
 
 
-def _sturm_count(e2: np.ndarray, xs: np.ndarray, d: np.ndarray | None, work=None) -> np.ndarray:
-    """Eigenvalues of tridiag(d, e) below each shift: e2 (R, N-1), xs (R, S), d (R, N) or None.
+def _sturm_count(e2: np.ndarray, xs: np.ndarray, work=None) -> np.ndarray:
+    """Eigenvalues of zero-diagonal chains tridiag(0, e) below each shift: e2 (R, N-1), xs (R, S).
 
     The negative-pivot count of the shifted LDL^T recurrence; zero and
     infinite pivots propagate through IEEE arithmetic while no e2 entry is
-    zero, as `_bisect_levels` ensures.  The update is (d_i - e2/q) - x, or
-    (0 - x) - e2/q for a zero diagonal, which equals (0 - e2/q) - x bit for
-    bit, signed zeros included.  Every step is one call on flat rows of R*S
-    pivots: the squares (and diagonal) of up to 32 sites at a time are
-    broadcast into contiguous rows of `work` (`_sturm_work`, allocated when
-    None), and the pivots overwrite them; one chain's operands are 0-d
-    views, which need no copy.  Each chunk's negative pivots are summed as
-    uint8 (at most 32) into the int64 count.
+    zero, as `_bisect_levels` ensures.  The one update is (0 - x) - e2/q,
+    which equals the general (d_i - e2/q) - x at d_i = 0 bit for bit,
+    signed zeros included.  Every step is one call on flat rows of R*S
+    pivots: the squares of up to 32 sites at a time are broadcast into
+    contiguous rows of `work` (`_sturm_work`, allocated when None), and the
+    pivots overwrite them; one chain's squares are 0-d views, which need no
+    copy.  Each chunk's negative pivots are summed as uint8 (at most 32)
+    into the int64 count.
     """
     rows, sites = e2.shape
     x = xs.reshape(-1)
-    if work is None:
-        work = _sturm_work(sites, x.size, d is not None)
+    pivot_rows, bool_rows = _sturm_work(sites, x.size) if work is None else work
     chunk = min(32, sites)
-    pivots = work[0][: (chunk + 1) * x.size].reshape(chunk + 1, x.size)
-    carry, negative = pivots[0], work[1][: chunk * x.size].reshape(chunk, x.size)
-
+    pivots = pivot_rows[: (chunk + 1) * x.size].reshape(chunk + 1, x.size)
+    carry, negative = pivots[0], bool_rows[: chunk * x.size].reshape(chunk, x.size)
     def per_site(a, start, stop, out):
         if rows == 1:
             return [a[0, i, ...] for i in range(start, stop)]
         np.copyto(out.reshape(stop - start, rows, -1), a[:, start:stop].T[:, :, None])
         return out
 
-    if d is None:
-        q = negx = 0.0 - x
-    else:
-        q = (d[:, :1] - xs).reshape(-1)
-        diag = work[2][: chunk * x.size].reshape(chunk, x.size)
+    q = negx = 0.0 - x
     count = (q < 0.0).astype(np.int64)
     with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, sites, chunk):
             stop = min(start + chunk, sites)
             outs = pivots[1 : stop - start + 1]
-            ops = per_site(e2, start, stop, outs)
-            if d is None:
-                for c, out in zip(ops, outs):
-                    np.divide(c, q, out=out)
-                    np.subtract(negx, out, out=out)
-                    q = out
-            else:
-                diags = per_site(d[:, 1:], start, stop, diag[: stop - start])
-                for c, di, out in zip(ops, diags, outs):
-                    np.divide(c, q, out=out)
-                    np.subtract(di, out, out=out)
-                    np.subtract(out, x, out=out)
-                    q = out
+            squares = per_site(e2, start, stop, outs)
+            for c, out in zip(squares, outs):
+                np.divide(c, q, out=out)
+                np.subtract(negx, out, out=out)
+                q = out
             np.less(outs, 0.0, out=negative[: stop - start])
             count += np.add.reduce(negative[: stop - start], axis=0, dtype=np.uint8)
             np.copyto(carry, q)  # the next chunk's operands overwrite q's row
@@ -512,7 +450,7 @@ def midgap_vectors(offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s1 = np.abs(s1 / scale[:, 0])
     bound = gershgorin_radii(e).max(axis=1)
     near = (s1 + 1e-13 * np.maximum(bound, _EPS))[:, None]
-    if np.any(_sturm_count(np.maximum(e * e, np.nextafter(0.0, 1.0)), near, None) >= size // 2 + 2):
+    if np.any(_sturm_count(np.maximum(e * e, np.nextafter(0.0, 1.0)), near) >= size // 2 + 2):
         warnings.warn("midgap pair is degenerate with the next eigenvalue")
     shift = np.maximum(s1, 64.0 * _EPS * bound)
     start = np.random.Generator(np.random.Philox(key=[0x1D5EED, size])).standard_normal(size)
@@ -585,18 +523,25 @@ def eigenvalues_tridiagonal(m: ChainMatrix) -> SpectralResult:
 
 
 def eigenvalues_dense(m: ChainMatrix | np.ndarray) -> SpectralResult:
-    """Full spectrum of a dense symmetric matrix via Householder reduction."""
+    """Full spectrum of a dense symmetric matrix, from numpy's LAPACK (`np.linalg.eigvalsh`).
+
+    A NaN or infinite entry raises ValueError("matrix must be finite") before
+    the symmetry check, which NaN != NaN would fail, and before LAPACK,
+    which would return NaN levels.
+    """
     dense = m.to_dense() if isinstance(m, ChainMatrix) else np.asarray(m, dtype=float)
-    if dense.shape[0] != dense.shape[1] or not np.array_equal(dense, dense.T):
+    _finite("matrix", dense)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or not np.array_equal(dense, dense.T):
         raise ValueError("matrix must be symmetric")
-    return SpectralResult.from_eigenvalues(eigvals_sturm(*householder_tridiagonalize(dense)))
+    return SpectralResult.from_eigenvalues(np.linalg.eigvalsh(dense))
 
 
 def chain_gap(m: ChainMatrix) -> float:
     """Spectral gap 2*min|E| of one open chain or ring.
 
-    Chains under 4 sites and odd rings take the whole spectrum; every other
-    chain is a one-row `chain_gaps` call.
+    Chains under 4 sites and odd rings take the whole spectrum, open chains
+    from `eigenvalues_tridiagonal` and rings from `eigenvalues_dense`
+    (LAPACK); every other chain is a one-row `chain_gaps` call.
     """
     if m.size < 4 or (m.size % 2 and not m.is_tridiagonal):
         full = eigenvalues_tridiagonal if m.is_tridiagonal else eigenvalues_dense
@@ -636,7 +581,7 @@ def chain_gaps(offdiag: np.ndarray, corner=None) -> np.ndarray:
 
 def gap_resolution(m: ChainMatrix) -> float:
     """The smallest ring gap `chain_gap` resolves, 8*max(N, 8)*eps*||H|| (||H|| Gershgorin's):
-    a ring's reduction (Golub-Kahan or Householder) moves its levels by some eps*||Q||."""
+    a ring's reduction (Golub-Kahan, or LAPACK's for odd rings) moves its levels by some eps*||Q||."""
     return 8.0 * max(m.size, 8) * _EPS * m.norm_bound()
 
 

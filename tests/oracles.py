@@ -30,7 +30,7 @@ def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
 
     Slow and simple; serves as the dense diagonalization oracle for small
-    matrices, independent of the production Householder/bisection path.
+    matrices, independent of the production bisection and LAPACK paths.
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
@@ -196,8 +196,8 @@ def householder_bidiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-# the sequential bisection that spectrum._bisect_levels batches over rows and
-# subtrees: the reference for its bits
+# the sequential general-diagonal bisection that spectrum._bisect_levels
+# batches over rows and subtrees at d = 0: the reference for its bits
 def sturm_count(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of tridiag(d, e) strictly below each shift.
 

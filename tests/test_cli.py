@@ -547,9 +547,20 @@ class TestMainEntry:
     def test_cli_imports_no_process_pool(self, tmp_path):
         # nor modules that no data run uses and that take ms to import:
         # argparse (only main parses arguments) and signal (only a failed
-        # sweep kills its children)
-        unused = "{'concurrent.futures', 'multiprocessing', 'argparse', 'signal'}"
-        script = f"import sys, sshlab.cli; print(sorted({unused} & set(sys.modules)))"
+        # sweep kills its children); nor scipy, not even for dense spectra
+        # (numpy's own LAPACK gives those)
+        unused = "{'concurrent.futures', 'multiprocessing', 'argparse', 'signal', 'scipy'}"
+        script = textwrap.dedent(
+            f"""
+            import sys, numpy as np, sshlab.cli
+            from sshlab.model import ChainMatrix
+            from sshlab.spectrum import chain_gap, eigenvalues_dense
+
+            eigenvalues_dense(np.array([[0.0, 1.0], [1.0, 0.5]]))
+            chain_gap(ChainMatrix(offdiag=[1.0, 0.7, 1.3, 0.9], corner=0.8))
+            print(sorted({unused} & set(sys.modules)))
+            """
+        )
         proc = run_python(["-c", script], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import eigvals_ql, householder_bidiagonalize, jacobi_eigenvalues, sigma_min_bidiagonal
 from oracles import eigvals_sturm as oracle_eigvals
+from oracles import sturm_count as oracle_count
 from sshlab import spectrum
 from sshlab.ensemble import FlatDistribution, sample_realization
 from sshlab.model import (
@@ -28,8 +29,6 @@ from sshlab.spectrum import (
     eigenvalues_dense,
     eigenvalues_tridiagonal,
     eigenvector_near_zero,
-    eigvals_sturm,
-    householder_tridiagonalize,
     midgap_levels,
     midgap_pair,
     midgap_vectors,
@@ -81,18 +80,21 @@ def unit_scaled(*parts):
     return [np.ldexp(np.asarray(p, dtype=float), -math.frexp(big)[1]) for p in parts]
 
 
-def assert_oracle_bits(d, e):
-    """`eigvals_sturm` gives the oracle's bits on the unit-scaled chain, 2^k times them on the chain.
+def assert_oracle_bits(e):
+    """Every level of the zero-diagonal chain tridiag(0, e), from `eigenvalues_tridiagonal`: the
+    oracle's `chiral_entries` on the unit-scaled chain, 2^k times them on the chain.
 
     The kernel floors a zero square at the smallest subnormal of the scaled
     row and the unscaled oracle at that of the row itself, so on a chain
     with a zero bond the two see the same matrix only once it is scaled.
     """
-    k = math.frexp(max(float(np.max(np.abs(d))), float(np.max(np.abs(e)))))[1]
-    scaled = unit_scaled(d, e)
-    levels = eigvals_sturm(*scaled)
-    assert levels.tobytes() == oracle_eigvals(*scaled).tobytes()
-    assert eigvals_sturm(d, e).tobytes() == np.ldexp(levels, k).tobytes()
+    e = np.asarray(e, dtype=float)
+    k = math.frexp(float(np.max(np.abs(e))))[1]
+    (scaled,) = unit_scaled(e)
+    levels = eigenvalues_tridiagonal(ChainMatrix(offdiag=scaled)).eigenvalues
+    assert levels.tobytes() == chiral_entries(scaled, range(len(e) + 1)).tobytes()
+    got = eigenvalues_tridiagonal(ChainMatrix(offdiag=e)).eigenvalues
+    assert got.tobytes() == np.ldexp(levels, k).tobytes()
 
 
 def ring(couplings, w):
@@ -158,9 +160,11 @@ def kernel_profiles(e):
 
 class TestTridiagonal:
     def test_single_dimer_pair(self):
-        # 2x2 block with off-diagonal u1 has eigenvalues +-u1
-        ev = eigvals_sturm(np.zeros(2), np.array([0.7]))
+        # 2x2 block with off-diagonal u1 has eigenvalues +-u1, the oracle's bits at d = 0
+        ev = eigenvalues_tridiagonal(ChainMatrix(offdiag=[0.7])).eigenvalues
         np.testing.assert_allclose(ev, [-0.7, 0.7], atol=1e-15)
+        for e in ([0.7], [-0.7], [0.0], [3.5], [1e-200]):
+            assert_oracle_bits(e)
 
     def test_clean_open_chain_vs_jacobi_oracle(self):
         params = ChainParams(n=8, u=1.0, w=0.8)
@@ -176,6 +180,7 @@ class TestTridiagonal:
         assert float(np.sum(ev**2)) == pytest.approx(m.trace_h2(), rel=1e-10)
 
     def test_ql_and_bisection_agree(self):
+        # the two general-diagonal oracles, QL and the bisection the level kernel is held to
         rng = np.random.default_rng(4)
         for _ in range(50):
             n = int(rng.integers(2, 30))
@@ -183,7 +188,7 @@ class TestTridiagonal:
             e = rng.standard_normal(n - 1)
             scale = max(np.max(np.abs(d)), np.max(np.abs(e)), 1.0)
             np.testing.assert_allclose(
-                eigvals_sturm(d, e), np.sort(eigvals_ql(d, e)), atol=1e-11 * scale
+                oracle_eigvals(d, e), np.sort(eigvals_ql(d, e)), atol=1e-11 * scale
             )
 
     def test_rejects_periodic_matrix(self):
@@ -193,25 +198,18 @@ class TestTridiagonal:
             eigenvalues_tridiagonal(m)
 
     def test_sturm_count_brackets_spectrum(self):
+        # the one-update zero-diagonal count is the oracle's general count at d = 0, also at
+        # the levels themselves and at signed zero shifts
         rng = np.random.default_rng(6)
-        d = rng.standard_normal(9)
-        e = rng.standard_normal(8)
-        ev = eigvals_sturm(d, e)
-        e2 = e * e
-        mid = 0.5 * (ev[3] + ev[4])
-        xs = np.array([[ev[0] - 1.0, ev[-1] + 1.0, mid]])
-        assert list(spectrum._sturm_count(e2[None, :], xs, d[None, :])[0]) == [0, 9, 4]
-
-    def test_general_diagonal_bit_identical_to_oracle(self):
-        rng = np.random.default_rng(26)
-        for k in range(60):
-            n = int(rng.integers(2, 81))
-            d = rng.standard_normal(n)
-            e = rng.uniform(-2.0, 2.0, n - 1)
-            if k % 3:
-                # a zero coupling, or one whose square underflows to zero
-                e[rng.integers(n - 1)] = 0.0 if k % 3 == 1 else 1e-170
-            assert eigvals_sturm(d, e).tobytes() == oracle_eigvals(d, e).tobytes()
+        for sites in (9, 10):
+            e = rng.standard_normal(sites - 1)
+            ev = oracle_eigvals(np.zeros(sites), e)
+            e2 = e * e
+            mid = 0.5 * (ev[3] + ev[4])
+            xs = np.r_[ev[0] - 1.0, ev[-1] + 1.0, mid, 0.0, -0.0, ev]
+            got = spectrum._sturm_count(e2[None, :], xs[None, :])[0]
+            assert list(got[:3]) == [0, sites, 4]
+            assert got.tobytes() == oracle_count(np.zeros(sites), e2, xs).tobytes()
 
     @pytest.mark.parametrize(
         "d, e",
@@ -220,25 +218,31 @@ class TestTridiagonal:
             ([-0.0, -0.0], [0.5]),
             ([-0.0, -1.0, -0.0, 0.0], [0.0, 0.0, 0.0]),
             ([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0], [1.0, 0.8, 1.2, 0.0, 0.9]),
+            # a chain cut by a zero intra-cell bond, and an odd one with a floored square
+            ([0.0, -0.0, 0.0, -0.0, 0.0, -0.0], [0.0, 0.8, 1.2, 0.5, 0.9]),
+            ([-0.0, 0.0, -0.0, 0.0, -0.0], [-1.1, 1e-170, 0.7, 1.3]),
         ],
     )
     def test_negative_zero_diagonal_matches_eigvalsh(self, d, e):
+        # the general-diagonal oracle the level kernel is held to
         d, e = np.array(d), np.array(e)
         expected = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         bound = float(np.max(np.abs(expected)))
-        got = eigvals_sturm(d, e)
+        got = oracle_eigvals(d, e)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * bound)
-        # -0.0 counts as +0.0, in the kernel and in the oracle alike
-        assert got.tobytes() == eigvals_sturm(d + 0.0, e).tobytes()
-        assert_oracle_bits(d, e)
+        # -0.0 counts as +0.0 in the oracle, so a signed zero diagonal gives the kernel's bits
+        assert got.tobytes() == oracle_eigvals(d + 0.0, e).tobytes()
+        if not d.any():
+            assert_oracle_bits(e)
 
     def test_zero_bond_with_a_diagonal_warns_no_overflow(self):
-        # a floored zero square over a pivot of order 1, then a bond square over that pivot
+        # the general-diagonal oracle: a floored zero square over a pivot of order 1, then a
+        # bond square over that pivot
         d = np.array([0.5, -1.0, 0.0, 0.0, -1.0, 0.0])
         e = np.array([-0.5, 0.0, 0.5, -0.5, -0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = eigvals_sturm(d, e)
+            got = oracle_eigvals(d, e)
         expected = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
 
@@ -726,19 +730,9 @@ def nonzero_or_zero(floats):
     return floats.map(lambda x: 0.0 if 0.0 < abs(x) < 1e-100 else x)
 
 
-DIAGONALS = st.sampled_from([0.0, -0.0, 0.5, -1.0]) | nonzero_or_zero(st.floats(-2.0, 2.0))
 BONDS = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.7]) | nonzero_or_zero(
     st.floats(-1.8, 1.8, exclude_min=True, exclude_max=True)
 )
-
-
-@st.composite
-def tridiagonal_chains(draw):
-    """(d, e) of one chain of 2 to 12 sites."""
-    n = draw(st.integers(2, 12))
-    return draw(st.lists(DIAGONALS, min_size=n, max_size=n)), draw(
-        st.lists(BONDS, min_size=n - 1, max_size=n - 1)
-    )
 
 
 @st.composite
@@ -751,12 +745,6 @@ def open_chain_blocks(draw):
 
 class TestLevelProperties:
     """The batched, scaled kernel gives the plain one-chain oracle's bits."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(tridiagonal_chains())
-    def test_eigvals_sturm_matches_oracle(self, chain):
-        d, e = unit_scaled(*chain)
-        assert eigvals_sturm(d, e).tobytes() == oracle_eigvals(d, e).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(open_chain_blocks())
@@ -800,16 +788,6 @@ class TestScratchMemory:
             tracemalloc.stop()
         assert peak < (self.VECTORS_BUDGET if kernel is midgap_vectors else self.BUDGET)
 
-    def test_general_diagonal_block_rows_match_alone(self):
-        # the diagonal's broadcast scratch: every row of a block as eigvals_sturm of the row
-        rng = np.random.default_rng(71)
-        d = rng.standard_normal((5, 70))
-        e = rng.uniform(-2.0, 2.0, (5, 69))
-        e[2, 30] = 0.0
-        block = spectrum._bisect_levels(e, np.arange(70), d)
-        for k in range(5):
-            assert block[k].tobytes() == eigvals_sturm(d[k], e[k]).tobytes()
-
 
 class TestNonFiniteCouplings:
     """NaN and +/-inf raise at every entry, before any arithmetic can warn."""
@@ -820,9 +798,12 @@ class TestNonFiniteCouplings:
         good = np.random.default_rng(64).uniform(0.3, 1.7, (1, 11))
         bad_row = good.copy()
         bad_row[0, 5] = bad
+        dense = np.eye(3)
+        dense[0, 1] = dense[1, 0] = bad
+        # an odd ring takes the dense route, which checks finiteness before symmetry (NaN != NaN)
         cases = [
-            (eigvals_sturm, np.r_[bad, np.zeros(11)], good[0]),
-            (eigvals_sturm, np.zeros(12), bad_row[0]),
+            (eigenvalues_dense, dense),
+            (chain_gap, ChainMatrix(offdiag=bad_row[0, 2:6], corner=0.8)),
         ]
         for rows in (slice(1, 2), slice(0, 2)):  # the bad row alone, then beside a finite one
             e = np.vstack((good, bad_row))[rows]
@@ -866,15 +847,6 @@ class TestExtremeScales:
             assert scaled.tobytes() == np.ldexp(levels, k).tobytes()
             a_k, b_k = midgap_vectors(np.ldexp(e, k))
             assert a_k.tobytes() == a.tobytes() and b_k.tobytes() == b.tobytes()
-
-    def test_general_diagonal(self):
-        rng = np.random.default_rng(62)
-        d = rng.standard_normal(30)
-        e = rng.uniform(-2.0, 2.0, 29)
-        ev = eigvals_sturm(d, e)
-        for k in self.POWERS:
-            got = eigvals_sturm(np.ldexp(d, k), np.ldexp(e, k))
-            assert got.tobytes() == np.ldexp(ev, k).tobytes()
 
 
 def mixed_gamma_block(bc, n=12, per=3):
@@ -949,18 +921,10 @@ class TestDense:
             scale = max(float(np.max(np.abs(a))), 1.0)
             assert float(np.max(np.abs(a - b))) <= 1e-10 * scale
 
-    def test_householder_preserves_spectrum(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((12, 12))
-        a = a + a.T
-        d, e = householder_tridiagonalize(a)
-        np.testing.assert_allclose(
-            eigvals_sturm(d, e), jacobi_eigenvalues(a), atol=1e-12
-        )
-
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            eigenvalues_dense(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        for a in ([[0.0, 1.0], [2.0, 0.0]], [[0.0, 1.0]], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="symmetric"):
+                eigenvalues_dense(np.array(a))
 
     def test_negative_zero_householder_diagonal(self):
         got = eigenvalues_dense(np.array([[-0.0, 0.5], [0.5, 0.0]])).eigenvalues
