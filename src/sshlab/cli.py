@@ -26,7 +26,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import __version__, analytic, born, ensemble, invariant, model, spectrum
+from . import __version__, analytic, ensemble, invariant, model, spectrum
 
 __all__ = ["RunConfig", "load_config_file", "main"]
 
@@ -318,6 +318,8 @@ def run_gap_scan(cfg: RunConfig) -> tuple[list[str], list[list]]:
 
 def run_born(cfg: RunConfig) -> tuple[list[str], list[list]]:
     """Self-energy scalars and midgap DOS on a (delta, gamma) grid."""
+    from . import born  # here only: no ensemble run uses it
+
     rows = []
     alpha = cfg.alpha * abs(cfg.u)
     for w in cfg.w_grid:
@@ -419,6 +421,8 @@ def default_config(experiment: str) -> RunConfig:
 
 def run_selftest() -> int:
     """Fast internal consistency checks; returns a process exit code."""
+    from . import born
+
     checks: list[tuple[str, bool]] = []
 
     clean = model.Realization(couplings=np.full(10, 1.0))

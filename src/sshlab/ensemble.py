@@ -133,28 +133,72 @@ class EnsembleEstimate:
     n_excluded: int = 0
 
 
+def _point_rows(points, r: int, rows: range):
+    """(dist, master_seed, start, stop) of each point with rows in `rows`, its rows start..stop-1.
+
+    Row k of the sweep is realization k % r of point k // r, `points`
+    holding (dist, master_seed) pairs.
+    """
+    for p in range(rows.start // r, (rows.stop - 1) // r + 1):
+        dist, seed = points[p]
+        yield dist, seed, max(rows.start, p * r), min(rows.stop, p * r + r)
+
+
+def _zero_width(dist: FlatDistribution) -> bool:
+    """Whether every coupling of `dist` is the one value +0.0 + lo (a clean point, gamma = 0)."""
+    lo, hi = dist.coupling_support
+    return hi == lo
+
+
 def _sample_block(points, r: int, n: int, rows: range, out=None) -> np.ndarray:
     """The n couplings of the sweep rows `rows`, one row each (the leading rows of `out`, if given).
 
-    Row k is realization k % r of point k // r, `points` holding
-    (dist, master_seed) pairs.  Each row re-keys the process's Philox to
-    (master_seed, index) and takes that stream's first n standard uniforms,
-    and one `dist.couplings` call per point maps that point's rows onto its
-    support: row for row the draws of `dist.sample` from a
-    Generator(Philox(key)) built for that key alone.
+    Each row re-keys the process's Philox to (master_seed, index) and takes
+    that stream's first n standard uniforms, and one `dist.couplings` call
+    per point maps that point's rows onto its support: row for row the
+    draws of `dist.sample` from a Generator(Philox(key)) built for that key
+    alone.  A zero-width point's rows draw nothing: x*(hi - lo) + lo is
+    +0.0 + lo for every draw x in [0, 1), so they are filled with it.
     """
     block = np.empty((len(rows), n)) if out is None else out[: len(rows)]
-    for p in range(rows.start // r, (rows.stop - 1) // r + 1):
-        dist, seed = points[p]
-        start, stop = max(rows.start, p * r), min(rows.stop, p * r + r)
+    for dist, seed, start, stop in _point_rows(points, r, rows):
         part = block[start - rows.start : stop - rows.start]
+        if _zero_width(dist):
+            part.fill(0.0 + dist.coupling_support[0])
+            continue
         _KEY[0] = seed & _MASK64
-        for row, index in zip(part, range(start - p * r, stop - p * r)):
+        for row, index in zip(part, range(start % r, start % r + len(part))):
             _KEY[1] = index & _MASK64
             _PHILOX.state = _FRESH_STATE
             _GENERATOR.random(out=row)
         part[...] = dist.couplings(part)  # no copy when mapped in place
     return block
+
+
+def _drawn_rows(points, r: int, rows: range) -> int:
+    """The rows of `rows` that `_sample_block` draws from Philox: those of nonzero-width points."""
+    segments = _point_rows(points, r, rows)
+    return sum(stop - start for dist, _, start, stop in segments if not _zero_width(dist))
+
+
+def _chains(points, r: int, rows: range) -> tuple[np.ndarray, np.ndarray]:
+    """Block offsets of the rows a spectrum kernel solves, and how many rows each stands for.
+
+    The rows of a zero-width point are all one chain, so a kernel solves its
+    first row in the block and repeats the result; every other row is its
+    own chain.  The kernels treat rows independently, so the repeated
+    result has the bits each row would get.
+    """
+    repeats = []
+    for dist, _, start, stop in _point_rows(points, r, rows):
+        repeats += [stop - start] if _zero_width(dist) else [1] * (stop - start)
+    repeats = np.array(repeats)
+    return np.cumsum(repeats) - repeats, repeats
+
+
+def _solved_rows(points, r: int, rows: range) -> int:
+    """How many chains the spectrum kernels of a gap or profile block solve (`_chains`)."""
+    return len(_chains(points, r, rows)[1])
 
 
 def sample_realization(
@@ -171,20 +215,23 @@ _sweep_logs: list[list[dict]] = []
 
 
 def _workers(threads: int) -> int:
-    """Processes a sweep for `threads` may use: the request (0 = all CPUs), at most the CPUs.
+    """Processes a sweep for `threads` may use: the request (0 = all), at most this process's CPUs.
 
-    Always 1 off Linux, where sweeps do not fork.
+    The CPUs are those the process may run on (its affinity), not the
+    host's.  Always 1 off Linux, where sweeps do not fork.
     """
     if sys.platform != "linux":
         return 1
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0))
     return min(threads or cpus, cpus)
 
 
 @contextmanager
 def sweep_log():
-    """Log the sweeps mapped inside: per sweep its quantity, block count, whether it forked
-    and `seconds`, the caller's wall time for the map.
+    """Log the sweeps mapped inside: per sweep its quantity, block count, whether it forked,
+    `seconds`, the caller's wall time for the map, and `kernel_rows`, the rows its blocks
+    drew from Philox (index and eta sweeps) or the chains their spectrum kernels solved
+    (gap and profile sweeps), of its points x r rows.
 
     Yields the log, a list of one dict per sweep; a sweep goes to the
     innermost open log only.
@@ -197,7 +244,9 @@ def sweep_log():
         _sweep_logs.remove(log)
 
 
-def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: int) -> np.ndarray:
+def _map_sweep(
+    quantity, worker, kernel_rows, params, points, r: int, block: int, threads: int
+) -> np.ndarray:
     """worker(params, points, r, rows) over a sweep's rows in blocks, split by point.
 
     `points` holds (dist, master_seed) pairs.  Each block is a range of
@@ -208,7 +257,8 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     whose `threads` resolve to one worker (`_workers`), stays in-process;
     the others fork one child per further worker (`_fork_map`).
     The worker returns one array with a row per sweep row; so does this
-    map, reshaped to (point, index, ...).
+    map, reshaped to (point, index, ...).  kernel_rows(points, r, rows)
+    is the block's row count that the sweep log records.
     """
     if not points:
         raise ValueError("a sweep needs at least one point")
@@ -226,7 +276,13 @@ def _map_sweep(quantity, worker, params, points, r: int, block: int, threads: in
     if _sweep_logs:
         seconds = time.perf_counter() - start
         _sweep_logs[-1].append(
-            {"quantity": quantity, "blocks": len(blocks), "pooled": workers > 1, "seconds": seconds}
+            {
+                "quantity": quantity,
+                "blocks": len(blocks),
+                "kernel_rows": sum(kernel_rows(points, r, b) for b in blocks),
+                "pooled": workers > 1,
+                "seconds": seconds,
+            }
         )
     return np.concatenate(results).reshape(len(points), r, *results[0].shape[1:])
 
@@ -352,21 +408,22 @@ def _index_sweep(quantity, params, points, r: int, threads: int) -> np.ndarray:
     """Row sums of an index or eta sweep, in _INDEX_BLOCK-row blocks sharing one sample buffer."""
     buffer = np.empty((min(_INDEX_BLOCK, len(points) * r), params.n))
     worker = partial(_log_ratio_block, buffer=buffer)
-    return _map_sweep(quantity, worker, params, points, r, _INDEX_BLOCK, threads)
+    return _map_sweep(quantity, worker, _drawn_rows, params, points, r, _INDEX_BLOCK, threads)
 
 
 def _profile_block(params, points, r, rows):
     """Per-dimer weight of the +/- pair of states closest to zero energy.
 
-    The block's chains share one call of each batched kernel.  Dimer i
-    weighs a_i^2 + b_i^2, taken from v_+/- = (a, +/-b)/sqrt(2) as
-    `midgap_pair` builds them; each profile is normalized to total weight 2
-    (two states).
+    The block's chains (`_chains`: one per zero-width point) share one call
+    of each batched kernel.  Dimer i weighs a_i^2 + b_i^2, taken from
+    v_+/- = (a, +/-b)/sqrt(2) as `midgap_pair` builds them; each profile is
+    normalized to total weight 2 (two states).
     """
-    offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows))
+    first, repeats = _chains(points, r, rows)
+    offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows)[first])
     a, b = midgap_vectors(offdiag)
     per_dimer = (a / math.sqrt(2.0)) ** 2 + (b / math.sqrt(2.0)) ** 2
-    return per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True))
+    return np.repeat(per_dimer * (2.0 / per_dimer.sum(axis=1, keepdims=True)), repeats, axis=0)
 
 
 def _gap_block_rows(rows: int, n: int) -> int:
@@ -384,9 +441,10 @@ def _gap_block_rows(rows: int, n: int) -> int:
 
 
 def _gap_block(params, points, r, rows):
-    """The gaps of a block's chains from one batched level call (`chain_gaps`)."""
-    offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows))
-    return chain_gaps(offdiag, params.corner)
+    """The gaps of a block's chains (`_chains`) from one batched level call."""
+    first, repeats = _chains(points, r, rows)
+    offdiag = chain_couplings(params, _sample_block(points, r, params.n, rows)[first])
+    return np.repeat(chain_gaps(offdiag, params.corner), repeats)
 
 
 def sweep_mean_nu(
@@ -434,7 +492,14 @@ def sweep_wavefunction_profile(
     if params.bc is not BoundaryCondition.OPEN:
         raise ValueError("wavefunction profile requires open boundaries")
     profiles = _map_sweep(
-        "wavefunction_profile", _profile_block, params, points, r, _PROFILE_BLOCK, threads
+        "wavefunction_profile",
+        _profile_block,
+        _solved_rows,
+        params,
+        points,
+        r,
+        _PROFILE_BLOCK,
+        threads,
     )
     return [
         EnsembleEstimate("wavefunction_profile", *_mean_stderr(rows), r, seed)
@@ -455,7 +520,7 @@ def sweep_mean_gap(
     if r < 1:
         raise ValueError("need at least 1 realization")
     block = _gap_block_rows(len(points) * r, params.n)
-    gaps = _map_sweep("mean_gap", _gap_block, params, points, r, block, threads)
+    gaps = _map_sweep("mean_gap", _gap_block, _solved_rows, params, points, r, block, threads)
     return [
         EnsembleEstimate("mean_gap", *map(float, _mean_stderr(rows)), r, seed)
         for (_, seed), rows in zip(points, gaps)

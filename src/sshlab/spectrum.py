@@ -56,6 +56,9 @@ _EPS = np.finfo(float).eps
 _RING_CHUNK = 8
 # steps whose updates `_golub_kahan_chains` holds in its panel between flushes
 _PANEL = 8
+# natural log of 2^-1000: a midgap bracket below it, in units of the row's
+# scale, nears the subnormal pivots, so its row bisects the whole range
+_DEEP = -1000.0 * math.log(2.0)
 
 
 class ConvergenceError(RuntimeError):
@@ -311,19 +314,27 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray) -> np.ndarray:
     so a row times 2^k gives 2^k times the same bits.  A square still zero
     is floored at the smallest subnormal (a bond under about 2^-537 of the
     row's largest counts as that large), so the IEEE count of `_sturm_count`
-    is exact (Demmel, Dhillon & Ren, ETNA 3, 1995); an all-zero row gives
-    +0.0.  Each level is halved 64 times on the ordinals of the doubles
-    (`_flip`) from the whole finite range, and level k is then lo, the
-    largest double whose count is at most k.  The count has the couplings'
-    relative accuracy while the pivots, about x and e^2/x, stay normal, so
-    the levels do down to about 2^-1022 of the row's scale (Demmel & Kahan
-    1990).  One Sturm pass counts every midpoint of a bisection subtree (up
-    to 6 levels deep, near 1000 shifts), then the path is walked level by
-    level.  A subtree is kept as the 2^depth + 1 bounds of its leaves, in
-    order, in one array per call, so node j of level l splits at bound
-    (2j + 1) * 2^(depth - l - 1) and the walk moves by index.  Each row is
-    independent of the other rows and of the depth.  `tests/oracles.py`
-    keeps the general-diagonal count and bisection that give the same bits.
+    is exact and monotone in the shift (Demmel, Dhillon & Ren, ETNA 3,
+    1995); an all-zero row gives +0.0.  Each level is bisected on the
+    ordinals of the doubles (`_flip`) down to adjacent ones, and level k is
+    then lo, the largest double whose count is at most k: any start that
+    brackets it ends on that double.  Every level starts from the whole
+    finite range, 64 halvings, except level N/2 of even chains asked for
+    alone: each row then starts from its `_midgap_bracket`, widened by a
+    margin, and the bisection takes only the halvings its widest bracket
+    needs.  The first pass also counts each bracket's ends, and a row whose
+    ends do not hold the level, a row with a zero intra-cell bond, and a row
+    whose bracket lies under 2^-1000 of its scale start from the whole range
+    instead.  The count has the couplings' relative accuracy while the
+    pivots, about x and e^2/x, stay normal, so the levels do down to about
+    2^-1022 of the row's scale (Demmel & Kahan 1990).  One Sturm pass counts
+    every midpoint of a bisection subtree (up to 6 levels deep, near 1000
+    shifts), then the path is walked level by level.  A subtree is kept as
+    the 2^depth + 1 bounds of its leaves, in order, in one array per call,
+    so node j of level l splits at bound (2j + 1) * 2^(depth - l - 1) and
+    the walk moves by index.  Each row is independent of the other rows and
+    of the depth.  `tests/oracles.py` keeps the general-diagonal count and
+    whole-range bisection that give the same bits.
     """
     scale = _row_scale(e)
     e = e / scale
@@ -338,10 +349,22 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray) -> np.ndarray:
     tree = np.empty((len(e) * len(targets), (1 << depth) + 1), dtype=np.int64)
     ids, goal = np.arange(len(tree)), np.tile(targets, len(e))
     # -max and +max are 2^64 - 2^53 ordinals apart: 64 halvings take them to adjacent ones
-    lo, hi = _flip(np.array([-np.finfo(float).max, np.finfo(float).max]).view(np.int64))
-    work = _sturm_work(e2.shape[1], len(tree) << depth)
-    for start in range(0, 64, depth):
-        span = 1 << min(depth, 64 - start)
+    whole = _flip(np.array([-np.finfo(float).max, np.finfo(float).max]).view(np.int64))
+    lo, hi = np.full(len(tree), whole[0]), np.full(len(tree), whole[1])
+    halvings = 64
+    # level N/2 of even chains, asked for alone, starts from each row's bracket
+    bracket = e.shape[1] % 2 == 1 and np.array_equal(which, [e.shape[1] // 2 + 1])
+    if bracket:
+        lower, upper, slack = _midgap_bracket(e2)
+        ok = (e[:, 0::2] != 0.0).all(axis=1) & (lower > _DEEP)
+        lo[ok] = np.exp(lower[ok] - slack[ok]).view(np.int64)  # positive: the ordinal is the bits
+        hi[ok] = np.exp(upper[ok] + slack[ok]).view(np.int64)
+        if ok.all():
+            halvings = max(1, int((hi - lo).max() - 1).bit_length())
+    work = _sturm_work(e2.shape[1], len(tree) * ((1 << depth) + 1))
+    done = 0
+    while done < halvings:
+        span = 1 << min(depth, halvings - done)
         bounds = tree[:, : span + 1]
         bounds[:, 0], bounds[:, span] = lo, hi
         step = span
@@ -351,20 +374,55 @@ def _bisect_levels(e: np.ndarray, which: np.ndarray) -> np.ndarray:
             np.add(left >> 1, right >> 1, out=mid)
             mid += left & right & 1
             step //= 2
-        shifts = _flip(bounds[:, 1:span]).view(float).reshape(len(e), -1)
+        # the first pass of a bracketed call counts each subtree's own bounds too
+        ends = int(bracket and done == 0)
+        shifts = _flip(bounds[:, 1 - ends : span + ends]).view(float).reshape(len(e), -1)
         counts = _sturm_count(e2, shifts, work).reshape(-1)
-        # walk down from the root; bound b of subtree i has its count at i*(span-1) + b-1
-        at = ids * (span - 1) + (span // 2 - 1)
+        # walk down from the root; bound b of subtree i has its count at base[i] + b
+        base = ids * (span - 1 + 2 * ends) + ends - 1
+        at = base + span // 2
         below = counts[at] >= goal
         step = span // 2
         while step > 1:
             step //= 2
             at += np.where(below, -step, step)
             below = counts[at] >= goal
-        leaf = at - ids * (span - 1) + 1 - below  # the leaf's lower bound
+        leaf = at - base - below  # the leaf's lower bound
         lo, hi = bounds[ids, leaf], bounds[ids, leaf + 1]
+        done += depth
+        if ends:
+            missed = (counts[base] >= goal) | (counts[base + span] < goal)
+            if missed.any():  # the bracket does not hold the level: start over from the whole range
+                lo[missed], hi[missed] = whole
+                halvings = max(halvings, done + 64)
     levels = _flip(lo).view(float).reshape(len(e), -1)
     return np.where(live[:, None], levels * scale, 0.0)
+
+
+def _midgap_bracket(e2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Natural-log bounds on sigma_min of each row's sublattice block, and their rounding margin.
+
+    e2 (R, 2n - 1) holds the squared bonds of even zero-diagonal chains,
+    whose level N/2 is sigma_min of the n x n lower bidiagonal B with
+    diagonal u_i^2 = e2[:, 2i] and subdiagonal w_i^2 = e2[:, 2i + 1].  Row i
+    of B^-1 has squared norm S_i = 1/u_i^2 + (w_{i-1}/u_i)^2 S_{i-1}, so
+    S_i = exp(P_i) sum_{j <= i} exp(-log u_j^2 - P_j), P_i the sum of
+    log (w_{k-1}/u_k)^2 over k <= i, one `np.logaddexp.accumulate` per row.
+    Then 1/||B^-1||_F <= sigma_min <= 1/max_i sqrt(S_i), the upper bound
+    never looser than sqrt(n)/||B^-1||_F.  The margin, 2^-20 plus
+    8*(2n - 1)*eps times the largest |term|, covers the rounding of the sums
+    and the count's own error of a few N*eps of the level.  No e2 entry may
+    be zero.
+    """
+    logs = np.log(e2)
+    p = np.zeros((len(e2), (e2.shape[1] + 1) // 2))
+    np.cumsum(logs[:, 1::2] - logs[:, 2::2], axis=1, out=p[:, 1:])
+    tilt = -logs[:, 0::2] - p
+    log_s = p + np.logaddexp.accumulate(tilt, axis=1)
+    lower = -0.5 * np.logaddexp.reduce(log_s, axis=1)
+    upper = -0.5 * log_s.max(axis=1)
+    slack = 2.0**-20 + 8.0 * e2.shape[1] * _EPS * np.abs(tilt).max(axis=1)
+    return lower, upper, slack
 
 
 def _sturm_work(sites: int, shifts: int) -> tuple[np.ndarray, np.ndarray]:

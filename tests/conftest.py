@@ -14,7 +14,7 @@ settings.load_profile("derandomized")
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """A recording stand-in for ensemble's fork-join on a 2-CPU host.
+    """A recording stand-in for ensemble's fork-join in a process that may run on 2 CPUs.
 
     No process forks: each sweep that would fork maps its blocks
     in-process.  Yields the process count of every such sweep.
@@ -28,5 +28,5 @@ def fake_pool(monkeypatch):
         return [worker(b) for b in blocks]
 
     monkeypatch.setattr(ensemble, "_fork_map", fork_map)
-    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
     return made

@@ -238,8 +238,10 @@ def doubles(ranks: np.ndarray) -> np.ndarray:
     return np.where(ranks < 0, (-1 - ranks) ^ _SIGN_BIT, ranks).view(float)
 
 
-def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+def eigvals_sturm(d: np.ndarray, e: np.ndarray, levels=None) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix by bisection on the doubles' ranks.
+
+    With `levels` (0-based) given, only those eigenvalues, in that order.
 
     Every level starts from the whole finite range [-max, max] and is
     halved 64 times at the floor of the mean rank, one halving per Sturm
@@ -254,12 +256,12 @@ def eigvals_sturm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0, as in the kernel
     e = np.asarray(e, dtype=float)
     n = len(d)
+    targets = np.arange(1, n + 1) if levels is None else np.asarray(levels) + 1
     if n == 1 or not (d.any() or e.any()):
-        return d.copy()
+        return d[targets - 1]
     e2 = np.maximum(e * e, np.nextafter(0.0, 1.0))
     big = np.finfo(float).max
-    lo, hi = ordinals(np.full(n, -big)), ordinals(np.full(n, big))
-    targets = np.arange(1, n + 1)
+    lo, hi = ordinals(np.full(len(targets), -big)), ordinals(np.full(len(targets), big))
     for _ in range(64):
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
         below = sturm_count(d, e2, doubles(mid)) >= targets

@@ -325,9 +325,10 @@ class TestRunners:
             paths[t] = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
             metas[t] = json.loads(paths[t].with_suffix(".csv.meta.json").read_text())
         assert (metas[1]["workers"], metas[1]["pool_started"]) == (1, False)
-        assert metas[2]["workers"] == min(2, os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0))
+        assert metas[2]["workers"] == min(2, cpus)
         assert metas[2]["pool_started"] == (metas[2]["workers"] > 1)
-        assert metas[0]["threads"] == 0 and metas[0]["workers"] == (os.cpu_count() or 1)
+        assert metas[0]["threads"] == 0 and metas[0]["workers"] == cpus
         assert paths[1].read_bytes() == paths[2].read_bytes() == paths[0].read_bytes()
         replay = run_experiment(
             replace(read_embedded_config(paths[0]), out=str(tmp_path / "replay.csv"))
@@ -356,7 +357,7 @@ class TestRunners:
         cfg = tiny("gap-scan", tmp_path, n=10, realizations=40)
         one = run_experiment(replace(cfg, threads=1, out=str(tmp_path / "gs1.csv")))
         monkeypatch.setattr(ensemble.os, "fork", no_fork)
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0})
         for t in (0, 2, 4):
             path = run_experiment(replace(cfg, threads=t, out=str(tmp_path / f"gs{t}.csv")))
             meta = json.loads(path.with_suffix(".csv.meta.json").read_text())
@@ -415,13 +416,47 @@ class TestRunners:
             assert "sweeps" not in path.read_text()
         # 2 gamma x 40 rings in blocks of 40, and the 80 index rows in one block
         assert untimed(metas[2]["sweeps"]) == [
-            {"quantity": "mean_gap", "blocks": 2, "pooled": True},
-            {"quantity": "mean_nu", "blocks": 1, "pooled": False},
+            {"quantity": "mean_gap", "blocks": 2, "kernel_rows": 80, "pooled": True},
+            {"quantity": "mean_nu", "blocks": 1, "kernel_rows": 80, "pooled": False},
         ]
         assert [s["pooled"] for s in metas[1]["sweeps"]] == [False, False]
         em = run_experiment(tiny("edge-modes", tmp_path, n=10, realizations=4, threads=2))
         sweeps = json.loads(em.with_suffix(".csv.meta.json").read_text())["sweeps"]
         assert [(s["blocks"], s["pooled"]) for s in sweeps] == [(1, False), (1, False)]
+
+    @pytest.mark.parametrize(
+        "experiment, shape, shared, drawn",
+        [
+            # 3 gamma x 40 rings of 10 dimers in two blocks of 60: the clean 40 are one chain
+            ("gap-scan", dict(realizations=40, gamma_grid=(0.0, 0.4, 0.8)), [81, 80], [120, 120]),
+            # 2 gamma x 100 chains in blocks of 128: the clean point's 100 rows lie in block 0
+            ("edge-modes", dict(realizations=100, gamma_grid=(0.0, 0.9)), [101, 100], [200, 200]),
+            # 2 gamma x 600 in three index blocks of 500: the clean rows draw nothing
+            ("mean-nu", dict(realizations=600, gamma_grid=(0.0, 0.5)), [600], [1200]),
+        ],
+        ids=["gap-scan", "edge-modes", "mean-nu"],
+    )
+    def test_clean_points_share_one_chain(
+        self, tmp_path, monkeypatch, experiment, shape, shared, drawn
+    ):
+        from dataclasses import replace
+
+        from sshlab import ensemble
+
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = tiny(experiment, tmp_path, n=10, **shape)
+        runs = {}
+        for sharing in (True, False):
+            if not sharing:
+                monkeypatch.setattr(ensemble, "_zero_width", lambda dist: False)
+            for t in (1, 2):
+                out = str(tmp_path / f"{sharing}{t}.csv")
+                path = run_experiment(replace(cfg, threads=t, out=out))
+                meta = json.loads(path.with_suffix(".csv.meta.json").read_text())
+                assert [s["kernel_rows"] for s in meta["sweeps"]] == (shared if sharing else drawn)
+                assert meta["pool_started"] == (t == 2)
+                runs[sharing, t] = path.read_bytes()
+        assert len(set(runs.values())) == 1
 
     def test_phase_diagram_weak_boundary_is_the_leading_order(self, tmp_path):
         from sshlab.analytic import critical_gamma_weak
@@ -548,8 +583,10 @@ class TestMainEntry:
         # nor modules that no data run uses and that take ms to import:
         # argparse (only main parses arguments) and signal (only a failed
         # sweep kills its children); nor scipy, not even for dense spectra
-        # (numpy's own LAPACK gives those)
-        unused = "{'concurrent.futures', 'multiprocessing', 'argparse', 'signal', 'scipy'}"
+        # (numpy's own LAPACK gives those); nor sshlab.born (only the born
+        # experiment and the selftest use it)
+        unused = "{'concurrent.futures', 'multiprocessing', 'argparse', 'signal', 'scipy', "
+        unused += "'sshlab.born'}"
         script = textwrap.dedent(
             f"""
             import sys, numpy as np, sshlab.cli
@@ -559,17 +596,20 @@ class TestMainEntry:
             eigenvalues_dense(np.array([[0.0, 1.0], [1.0, 0.5]]))
             chain_gap(ChainMatrix(offdiag=[1.0, 0.7, 1.3, 0.9], corner=0.8))
             print(sorted({unused} & set(sys.modules)))
+            # the layers perfbench's tracer looks up in sys.modules stay loaded
+            layers = ("cli", "ensemble", "model", "spectrum", "invariant", "analytic")
+            print([m for m in layers if "sshlab." + m not in sys.modules])
             """
         )
         proc = run_python(["-c", script], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
 
     def test_forked_sweep_error_matches_in_process(self, tmp_path, capsys, monkeypatch):
         from sshlab import ensemble
 
         # 200 rings of 6 dimers: four ring blocks, every one of them non-finite
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
         argv = ["gap-scan", "--n", "6", "--realizations", "200", "--gamma-grid", "1e308"]
         errors = []
         for t in (1, 2):
@@ -594,7 +634,7 @@ class TestMainEntry:
         from sshlab import ensemble
 
         # the support width overflows at gamma = 1e308: every coupling is infinite
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
         for t in (1, 2):
             out = tmp_path / f"run{t}.csv"
             assert main([*argv, "--threads", str(t), "--out", str(out)]) == 2

@@ -148,6 +148,21 @@ class TestSampler:
             (dist, seed), i = points[k // 3], k % 3
             assert row.tobytes() == dist.sample(realization_rng(seed, i), 6).tobytes()
 
+    def test_clean_points_fill_without_a_rekey(self):
+        # a zero-width support (gamma = 0, or too small to move u) maps every draw x to
+        # x*0.0 + lo = +0.0 + lo: the block holds that value and leaves the Philox as it was
+        def philox():
+            state = ensemble._PHILOX.state
+            return state["state"]["key"].tolist(), state["state"]["counter"].tolist()
+
+        for u, gamma in ((1.3, 0.0), (-0.0, 0.0), (-2.5, 1e-300)):
+            dist = FlatDistribution(gamma, u)
+            before = philox()
+            block = ensemble._sample_block([(dist, 9)], 4, 5, range(4))
+            assert philox() == before
+            for i, row in enumerate(block):
+                assert row.tobytes() == dist.sample(realization_rng(9, i), 5).tobytes()
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sample_realization(FlatDistribution(0.3, 1.0), 4, 1, -1)
@@ -378,7 +393,8 @@ def map_rows(worker, threads, r=8, block=2):
     """`_map_sweep` of worker over r rows of one point, in blocks of `block` rows."""
     point = [(FlatDistribution(0.1, 1.0), 1)]
     params = ChainParams(n=2, u=1.0, w=0.9)
-    return ensemble._map_sweep("rows", worker, params, point, r, block, threads)
+    drawn = ensemble._drawn_rows
+    return ensemble._map_sweep("rows", worker, drawn, params, point, r, block, threads)
 
 
 def caught_warnings(fn, *args):
@@ -393,7 +409,7 @@ class TestWorkerPool:
 
     def test_estimators_share_one_pool(self, monkeypatch):
         # one sweep log serves a run; each pooled sweep forks and reaps its own children
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
         params = ChainParams(n=10, u=1.0, w=0.9)
         dist = FlatDistribution(gamma=0.4, u=1.0)
         r = ensemble._INDEX_BLOCK + 1  # two blocks: the smallest pooled ensemble
@@ -406,10 +422,12 @@ class TestWorkerPool:
                 assert estimate_mean_nu(params, dist, r, 5, threads=1).value == alone
         assert shared == alone
         assert untimed(log) == [
-            {"quantity": "mean_nu", "blocks": 2, "pooled": True},
-            {"quantity": "mean_gap", "blocks": 1, "pooled": False},
+            {"quantity": "mean_nu", "blocks": 2, "kernel_rows": r, "pooled": True},
+            {"quantity": "mean_gap", "blocks": 1, "kernel_rows": 8, "pooled": False},
         ]
-        assert untimed(inner) == [{"quantity": "mean_nu", "blocks": 2, "pooled": False}]
+        assert untimed(inner) == [
+            {"quantity": "mean_nu", "blocks": 2, "kernel_rows": r, "pooled": False}
+        ]
         assert not ensemble._sweep_logs
 
     def test_pool_processes_capped_at_cpu_count(self, fake_pool):
@@ -427,7 +445,7 @@ class TestWorkerPool:
         def no_fork():
             raise AssertionError("process forked")
 
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(ensemble.os, "fork", no_fork)
         params = ChainParams(n=10, u=1.0, w=0.9)
         dist = FlatDistribution(0.4, 1.0)
@@ -441,19 +459,37 @@ class TestWorkerPool:
 
     def test_rings_pool_one_per_task(self, monkeypatch):
         # two ring blocks of 40, one per process: the gap estimator keeps forking
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
         params = ChainParams(n=10, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
         dist = FlatDistribution(0.3, 1.0)
         r = 80
         serial = estimate_mean_gap(params, dist, r, 5, threads=1)
         with ensemble.sweep_log() as log:
             pooled = estimate_mean_gap(params, dist, r, 5, threads=2)
-        assert untimed(log) == [{"quantity": "mean_gap", "blocks": 2, "pooled": True}]
+        assert untimed(log) == [
+            {"quantity": "mean_gap", "blocks": 2, "kernel_rows": r, "pooled": True}
+        ]
         assert pooled.value == serial.value and pooled.stderr == serial.stderr
         assert_no_children()
 
+    def test_one_cpu_affinity_keeps_sweeps_in_process(self, monkeypatch):
+        # a 64-CPU host that runs this process on one CPU: no sweep forks, whatever threads asks
+        def no_fork():
+            raise AssertionError("process forked")
+
+        monkeypatch.setattr(ensemble.os, "fork", no_fork)
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {3})
+        params = ChainParams(n=10, u=1.0, w=0.8, bc=BoundaryCondition.PERIODIC)
+        points = [(FlatDistribution(0.3, 1.0), 1), (FlatDistribution(0.6, 1.0), 2)]
+        for threads in (0, 2, 64):
+            assert ensemble._workers(threads) == 1
+            with ensemble.sweep_log() as log:
+                sweep_mean_gap(params, points, 40, threads=threads)
+            assert [(s["blocks"], s["pooled"]) for s in log] == [(2, False)]
+
     def test_blocks_dealt_out_strided(self, monkeypatch):
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
         def worker(_params, _points, _r, rows):
             return np.stack((np.array(rows), np.full(len(rows), os.getpid())), axis=1)
@@ -468,7 +504,7 @@ class TestWorkerPool:
         assert_no_children()
 
     def test_child_warnings_reach_the_caller(self, monkeypatch):
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
 
         def worker(_params, _points, _r, rows):
             if rows.start // 2 in (1, 3):  # blocks of the child's share only
@@ -485,7 +521,7 @@ class TestWorkerPool:
 
     def test_degenerate_pair_warning_reaches_the_caller(self, monkeypatch):
         # block 3, in the child's share, holds three decoupled dimers: every level is +-1
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
 
         def worker(_params, _points, _r, rows):
             inter = 0.0 if rows.start == 6 else 0.5
@@ -501,7 +537,7 @@ class TestWorkerPool:
         assert_no_children()
 
     def test_child_error_reraised(self, monkeypatch):
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
 
         def worker(_params, _points, _r, rows):
             if rows.start == 2:  # block 1: the child's first
@@ -514,7 +550,7 @@ class TestWorkerPool:
             assert_no_children()
 
     def test_unpicklable_child_error_falls_back_to_its_repr(self, monkeypatch):
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
 
         class LocalError(Exception):
             pass
@@ -529,7 +565,7 @@ class TestWorkerPool:
         assert_no_children()
 
     def test_earliest_failed_block_wins(self, monkeypatch):
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
         def worker(_params, _points, _r, rows):
             block = rows.start // 2
@@ -548,7 +584,7 @@ class TestWorkerPool:
             assert_no_children()
 
     def test_child_exit_without_reply(self, monkeypatch):
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
 
         def worker(_params, _points, _r, rows):
             if rows.start == 2:
@@ -560,7 +596,7 @@ class TestWorkerPool:
         assert_no_children()
 
     def test_caller_failure_kills_children(self, monkeypatch):
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
 
         def worker(_params, _points, _r, rows):
             if rows.start == 0:  # block 0: the caller's own
@@ -669,7 +705,8 @@ class TestSweep:
                 seen.append(rows)
                 return np.array(rows)
 
-            rows = ensemble._map_sweep("rows", worker, params, points, r, block, 1)
+            drawn = ensemble._drawn_rows
+            rows = ensemble._map_sweep("rows", worker, drawn, params, points, r, block, 1)
             assert rows.tolist() == [[p * r + i for i in range(r)] for p in range(3)]
             sizes = [len(b) for b in seen]
             assert all(size == block for size in sizes[:-1]) and 0 < sizes[-1] <= block
@@ -704,9 +741,43 @@ class TestSweep:
             sweep_mean_gap(params, points, 40, threads=2)
             sweep_mean_nu(params, points, 40, threads=2)
         assert untimed(log) == [
-            {"quantity": "mean_gap", "blocks": 2, "pooled": True},
-            {"quantity": "mean_nu", "blocks": 1, "pooled": False},
+            {"quantity": "mean_gap", "blocks": 2, "kernel_rows": 80, "pooled": True},
+            {"quantity": "mean_nu", "blocks": 1, "kernel_rows": 80, "pooled": False},
         ]
+
+
+class TestCleanPoints:
+    """A zero-width point's rows in a block are one chain, solved once and repeated."""
+
+    # 4 points x 6 rows in blocks of 4: the clean chains of points 0, 2 and 3 take
+    # 1 + 1 + 0 + 1 + 1 + 1 rows of the kernels' 1, 3, 4, 1, 2 and 1
+    POINTS = [(FlatDistribution(g, 1.0), 70 + k) for k, g in enumerate((0.0, 0.4, 0.0, 0.0))]
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC, BoundaryCondition.OPEN])
+    def test_kernels_get_one_row_per_clean_point_and_block(self, monkeypatch, bc):
+        seen = []
+
+        def spy(kernel):
+            def call(offdiag, *args):
+                seen.append(len(offdiag))
+                return kernel(offdiag, *args)
+
+            return call
+
+        params = ChainParams(n=8, u=1.0, w=0.9, bc=bc)
+        worker = ensemble._profile_block if bc is BoundaryCondition.OPEN else ensemble._gap_block
+        monkeypatch.setattr(ensemble, "chain_gaps", spy(ensemble.chain_gaps))
+        monkeypatch.setattr(ensemble, "midgap_vectors", spy(ensemble.midgap_vectors))
+        args = ("rows", worker, ensemble._solved_rows, params, self.POINTS, 6, 4, 1)
+        with ensemble.sweep_log() as log:
+            shared = ensemble._map_sweep(*args)
+        assert seen == [1, 3, 4, 1, 2, 1]
+        assert log[0]["kernel_rows"] == 12
+        monkeypatch.setattr(ensemble, "_zero_width", lambda dist: False)
+        seen.clear()
+        alone = ensemble._map_sweep(*args)
+        assert seen == [4] * 6
+        assert shared.tobytes() == alone.tobytes()
 
 
 class TestGapBlocks:
@@ -737,7 +808,12 @@ class TestGapBlocks:
                 sweep_mean_gap(params, sweep, r, threads=threads)
             pooled = threads != 1 and len(sizes) > 1
             assert seen == sizes
-            entry = {"quantity": "mean_gap", "blocks": len(sizes), "pooled": pooled}
+            entry = {
+                "quantity": "mean_gap",
+                "blocks": len(sizes),
+                "kernel_rows": points * r,
+                "pooled": pooled,
+            }
             assert untimed(log) == [entry]
 
     def test_sweep_bytes_equal_blocks_of_four(self):
@@ -746,7 +822,9 @@ class TestGapBlocks:
         points = [(FlatDistribution(g, 1.0), 60 + k) for k, g in enumerate((0.0, 0.55, 1.2))]
         r = 27
         assert ensemble._gap_block_rows(len(points) * r, params.n) == 41
-        gaps = ensemble._map_sweep("mean_gap", ensemble._gap_block, params, points, r, 4, 1)
+        gaps = ensemble._map_sweep(
+            "mean_gap", ensemble._gap_block, ensemble._solved_rows, params, points, r, 4, 1
+        )
         for threads in (1, 2):
             swept = sweep_mean_gap(params, points, r, threads=threads)
             for est, rows in zip(swept, gaps):

@@ -849,6 +849,143 @@ class TestExtremeScales:
             assert a_k.tobytes() == a.tobytes() and b_k.tobytes() == b.tobytes()
 
 
+def oracle_gap(e):
+    """Twice level N/2 of the even chain tridiag(0, e) as `chain_gaps` gives it: the oracle's
+    whole-range bisection of that level alone, +0.0 for a chain cut by a zero intra-cell bond."""
+    if not np.all(e[0::2]):
+        return 0.0
+    return 2.0 * oracle_eigvals(np.zeros(len(e) + 1), e, levels=[(len(e) + 1) // 2])[0]
+
+
+def sturm_calls(monkeypatch):
+    """The shifts array shape of every `_sturm_count` call from here on: one per bisection pass."""
+    calls = []
+    count = spectrum._sturm_count
+
+    def spy(e2, xs, work=None):
+        calls.append(xs.shape)
+        return count(e2, xs, work)
+
+    monkeypatch.setattr(spectrum, "_sturm_count", spy)
+    return calls
+
+
+def bench_chains(experiment):
+    """The chains of perfbench's edge-modes (40 open chains of 100 dimers) or gap-scan (the
+    Golub-Kahan chains of 8 rings of 250 dimers) block, seed 1."""
+    from dataclasses import replace
+
+    from sshlab import cli, ensemble
+    from sshlab.model import chain_couplings
+
+    shape = dict(n=100, w=0.95, gamma_grid=tuple(np.linspace(0.0, 1.8, 10)), realizations=4)
+    if experiment == "gap-scan":
+        shape = dict(n=250, w=0.8, gamma_grid=(0.0, 0.8), realizations=4)
+    cfg = replace(cli.default_config(experiment), master_seed=1, **shape)
+    params, points = cfg.chain_params(), cli._sweep_points(cfg)
+    rows = range(len(points) * cfg.realizations)
+    offdiag = chain_couplings(params, ensemble._sample_block(points, cfg.realizations, cfg.n, rows))
+    if experiment == "gap-scan":
+        corners = np.full(len(offdiag), params.corner)
+        offdiag = spectrum._golub_kahan_chains(offdiag[:, 0::2], offdiag[:, 1::2], corners)
+    return offdiag
+
+
+class TestMidgapBracket:
+    """Level N/2 of even chains, bisected from each row's log-space bracket, has the bits of
+    the oracle's whole-range bisection; rows the bracket cannot serve fall back to it."""
+
+    def assert_oracle_bits(self, e):
+        # the kernel floors the squares of the unit-scaled row, as the oracle does on it
+        scaled = np.array([unit_scaled(row)[0] for row in e])
+        expected = np.array([oracle_gap(row) for row in scaled])
+        assert chain_gaps(scaled).tobytes() == expected.tobytes()
+        for k in (-600, 37, 600):
+            assert chain_gaps(np.ldexp(scaled, k)).tobytes() == np.ldexp(expected, k).tobytes()
+
+    def chains(self, n, w, gamma, rows, seed):
+        rng = np.random.default_rng(seed)
+        half = math.sqrt(3.0) * gamma
+        e = np.empty((rows, 2 * n - 1))
+        e[:, 0::2] = rng.uniform(1.0 - half, 1.0 + half, (rows, n))
+        e[:, 1::2] = w
+        return e
+
+    @pytest.mark.parametrize(
+        "w, gamma",
+        [(1.2, 0.3), (1.5, 0.0), (0.5, 0.3), (0.8, 0.0), (0.95, 0.54), (0.95, 0.5406)],
+        ids=["topological", "clean-topo", "trivial", "clean-trivial", "near-critical", "critical"],
+    )
+    def test_open_chains(self, w, gamma):
+        self.assert_oracle_bits(self.chains(60, w, gamma, 6, 90))
+
+    def test_zero_and_tiny_bonds(self):
+        # a zero intra-cell bond cuts the chain (gap +0.0, whole range); a zero inter-cell bond
+        # splits it; bonds under 2^-537 of the row's largest square to the floored subnormal
+        e = self.chains(40, 0.95, 0.54, 6, 91)
+        e[0, 20] = 0.0
+        e[1, 21] = 0.0
+        e[2, 40] = 2.0**-540
+        e[3, 41] = 2.0**-600
+        e[4, 0::2][::7] = 2.0**-560
+        e[5, 1::2][::5] = 0.0
+        self.assert_oracle_bits(e)
+        assert chain_gaps(e[:1]).tobytes() == bytes(8)
+
+    def test_ring_golub_kahan_chains(self):
+        rng = np.random.default_rng(92)
+        rings = []
+        for gamma in (0.0, 0.3, 0.55, 0.8):
+            half = math.sqrt(3.0) * gamma
+            rings += [ring(rng.uniform(1.0 - half, 1.0 + half, 60), 0.8) for _ in range(2)]
+        chains = np.vstack([golub_kahan_chain(m) for m in rings])
+        self.assert_oracle_bits(chains)
+        assert chain_gaps(*ring_block(rings)).tobytes() == chain_gaps(chains).tobytes()
+
+    def test_deep_chain_keeps_its_subnormal_bits_through_the_fallback(self):
+        # w/u = 2 over 2000 dimers: sigma ~ 2^-2000, far under the bracket's 2^-1000 floor
+        e, levels = deep_chain()
+        e2 = np.maximum(e * e, np.nextafter(0.0, 1.0))[None]
+        assert spectrum._midgap_bracket(e2)[0][0] < spectrum._DEEP
+        assert chain_gaps(e).tobytes() == (2.0 * levels[2000 : 2001]).tobytes()
+
+    def test_wrong_brackets_fall_back(self, monkeypatch):
+        # brackets moved wholly above or below the level fail the first pass's counts, and
+        # those rows bisect the whole range after it: 1 + 13 passes of depth 5 on 40 rows
+        e = self.chains(30, 0.95, 0.54, 40, 93)
+        true = spectrum._midgap_bracket
+        shift = np.tile([0.0, 2.0, -2.0, 0.0], 10)
+
+        def wrong(e2):
+            lower, upper, slack = true(e2)
+            return lower + shift, upper + shift, slack
+
+        monkeypatch.setattr(spectrum, "_midgap_bracket", wrong)
+        calls = sturm_calls(monkeypatch)
+        self.assert_oracle_bits(e)
+        assert len(calls) == 4 * 14
+
+    def test_passes_on_the_perfbench_blocks(self, monkeypatch):
+        # the widest bracket needs 54 halvings: 11 passes of depth 5 on 40 chains instead of
+        # 13, and 9 of depth 6 on 8 ring chains instead of 11
+        calls = sturm_calls(monkeypatch)
+        for experiment, passes, whole in (("edge-modes", 11, 13), ("gap-scan", 9, 11)):
+            e = bench_chains(experiment)
+            calls.clear()
+            gaps = chain_gaps(e)
+            assert len(calls) == passes
+            e2 = np.maximum(e * e, np.nextafter(0.0, 1.0)) / spectrum._row_scale(e) ** 2
+            lower, upper, slack = spectrum._midgap_bracket(e2)
+            width = np.exp(upper + slack).view(np.int64) - np.exp(lower - slack).view(np.int64)
+            assert int(width.max() - 1).bit_length() == 54
+            with monkeypatch.context() as m:
+                deep = np.full(len(e), spectrum._DEEP)  # a bracket this deep takes the whole range
+                m.setattr(spectrum, "_midgap_bracket", lambda e2: (deep, deep, 0.0 * deep))
+                calls.clear()
+                assert chain_gaps(e).tobytes() == gaps.tobytes()
+                assert len(calls) == whole
+
+
 def mixed_gamma_block(bc, n=12, per=3):
     """Chains of `per` realizations at each of four disorder strengths, one
     block: clean, weak, strong and past the sign change of the couplings,
